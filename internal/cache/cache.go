@@ -11,7 +11,9 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/money"
@@ -21,6 +23,8 @@ import (
 // Entry is one resident structure plus its bookkeeping.
 type Entry struct {
 	S *structure.Structure
+	// H is the structure's handle in the owning cache's table.
+	H structure.Handle
 
 	// BuiltAt is when the structure became usable.
 	BuiltAt time.Duration
@@ -63,13 +67,41 @@ type pendingBuild struct {
 }
 
 // Cache is the mutable cache state. It is not safe for concurrent use; a
-// simulation owns exactly one cache.
+// simulation, or one server shard, owns exactly one cache, and that
+// owner's optimizer, market and ledgers all read it.
+//
+// The cache also owns the handle table of its structure universe: every
+// structure it has seen has a dense structure.Handle, and Structure maps
+// a handle back to the immutable descriptor. Residency and pending
+// builds are slices indexed by handle, and so are the per-structure
+// states its users keep (the market's owners and failure counts, the
+// optimizer's price memo, regret entries). Callers intern only
+// structures minted from the catalog (the structure constructors or
+// economy.ResolveID), so the table is bounded by the catalog's columns,
+// its index candidates and cpu:2..MaxNodes. The table keeps each
+// handle's rank in ID-string order: wherever iteration order is
+// observable (Entries, CompleteDue, ForEach, LRU ties, snapshots, the
+// economy's invest order) it follows that rank, which is exactly the
+// order a sort by ID would give.
 type Cache struct {
-	clock    time.Duration
-	entries  map[structure.ID]*Entry
-	pending  map[structure.ID]*pendingBuild
+	clock time.Duration
+
+	ids     map[structure.ID]structure.Handle
+	structs []*structure.Structure // by handle
+	order   []structure.Handle     // handles in ID order
+	rank    []int32                // rank[h]: position of h in order
+
+	entries  []*Entry        // by handle; nil when not resident
+	pending  []*pendingBuild // by handle; nil when no build is in flight
+	nEntries int
+	nPending int
 	resident int64 // disk bytes of resident structures
 	capacity int64 // 0 = unlimited (economy schemes); >0 = hard cap (net-only)
+
+	// nodes counts resident extra CPU nodes and maxNode is the highest
+	// resident node ordinal (1 when none).
+	nodes   int
+	maxNode int
 
 	// epoch counts mutations that can change what is resident or being
 	// built (build starts, completions, evictions). Callers memoizing
@@ -84,11 +116,56 @@ func New(capacityBytes int64) *Cache {
 		capacityBytes = 0
 	}
 	return &Cache{
-		entries:  make(map[structure.ID]*Entry),
-		pending:  make(map[structure.ID]*pendingBuild),
+		ids:      make(map[structure.ID]structure.Handle),
 		capacity: capacityBytes,
+		maxNode:  1,
 	}
 }
+
+// Intern returns the structure's handle, assigning the next one on first
+// sight. Interning an index also interns the columns it is built from.
+// A structure whose ID is already known keeps its first descriptor.
+func (c *Cache) Intern(st *structure.Structure) structure.Handle {
+	if h, ok := c.ids[st.ID]; ok {
+		return h
+	}
+	h := structure.Handle(len(c.structs))
+	c.ids[st.ID] = h
+	c.structs = append(c.structs, st)
+	c.entries = append(c.entries, nil)
+	c.pending = append(c.pending, nil)
+	c.rank = append(c.rank, 0)
+	pos, _ := slices.BinarySearchFunc(c.order, st.ID, func(x structure.Handle, id structure.ID) int {
+		return strings.Compare(string(c.structs[x].ID), string(id))
+	})
+	c.order = slices.Insert(c.order, pos, h)
+	for i := pos; i < len(c.order); i++ {
+		c.rank[c.order[i]] = int32(i)
+	}
+	for _, col := range st.IndexColumns {
+		c.Intern(col)
+	}
+	return h
+}
+
+// Lookup returns the handle of an interned ID, or structure.NoHandle.
+func (c *Cache) Lookup(id structure.ID) structure.Handle {
+	if h, ok := c.ids[id]; ok {
+		return h
+	}
+	return structure.NoHandle
+}
+
+// Structure returns the descriptor behind a handle.
+func (c *Cache) Structure(h structure.Handle) *structure.Structure { return c.structs[h] }
+
+// Rank returns the handle's position in ID-string order among all
+// interned structures. Sorting handles by rank sorts them by ID.
+func (c *Cache) Rank(h structure.Handle) int32 { return c.rank[h] }
+
+// Ordered returns every interned handle in ID order. The slice is shared
+// and valid until the next Intern; callers must not mutate it.
+func (c *Cache) Ordered() []structure.Handle { return c.order }
 
 // Clock returns the cache's current time.
 func (c *Cache) Clock() time.Duration { return c.clock }
@@ -114,43 +191,45 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 func (c *Cache) ResidentBytes() int64 { return c.resident }
 
 // Has reports whether the structure is resident (built and not evicted).
-func (c *Cache) Has(id structure.ID) bool {
-	_, ok := c.entries[id]
+// Any handle is accepted; NoHandle is never resident.
+func (c *Cache) Has(h structure.Handle) bool {
+	_, ok := c.Get(h)
 	return ok
 }
 
 // Get returns the entry for a resident structure.
-func (c *Cache) Get(id structure.ID) (*Entry, bool) {
-	e, ok := c.entries[id]
-	return e, ok
+func (c *Cache) Get(h structure.Handle) (*Entry, bool) {
+	if uint(h) >= uint(len(c.entries)) {
+		return nil, false
+	}
+	e := c.entries[h]
+	return e, e != nil
 }
 
 // Building reports whether a build for the structure is in flight.
-func (c *Cache) Building(id structure.ID) bool {
-	_, ok := c.pending[id]
-	return ok
+func (c *Cache) Building(h structure.Handle) bool {
+	return uint(h) < uint(len(c.pending)) && c.pending[h] != nil
 }
 
 // Len returns the number of resident structures.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.nEntries }
 
-// ForEach calls f for every resident entry in unspecified order. It is the
-// allocation-free alternative to Entries for per-entry decisions that do
-// not depend on iteration order. f must not add or remove entries.
+// ForEach calls f for every resident entry in ID order. It is the
+// allocation-free alternative to Entries. f must not add or remove
+// entries.
 func (c *Cache) ForEach(f func(*Entry)) {
-	for _, e := range c.entries {
-		f(e)
+	for _, h := range c.order {
+		if e := c.entries[h]; e != nil {
+			f(e)
+		}
 	}
 }
 
 // Entries returns resident entries sorted by structure ID for deterministic
 // iteration.
 func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].S.ID < out[j].S.ID })
+	out := make([]*Entry, 0, c.nEntries)
+	c.ForEach(func(e *Entry) { out = append(out, e) })
 	return out
 }
 
@@ -161,23 +240,26 @@ func (c *Cache) StartBuild(st *structure.Structure, readyAt time.Duration, build
 	if st == nil {
 		return fmt.Errorf("cache: nil structure")
 	}
-	if c.Has(st.ID) {
+	h := c.Intern(st)
+	if c.Has(h) {
 		return fmt.Errorf("cache: %s already resident", st.ID)
 	}
-	if c.Building(st.ID) {
+	if c.Building(h) {
 		return fmt.Errorf("cache: %s already building", st.ID)
 	}
 	if readyAt < c.clock {
 		readyAt = c.clock
 	}
-	c.pending[st.ID] = &pendingBuild{
+	c.pending[h] = &pendingBuild{
 		entry: &Entry{
-			S:              st,
+			S:              c.structs[h],
+			H:              h,
 			BuildPrice:     buildPrice,
 			AmortRemaining: buildPrice,
 		},
 		readyAt: readyAt,
 	}
+	c.nPending++
 	c.epoch++
 	return nil
 }
@@ -185,26 +267,41 @@ func (c *Cache) StartBuild(st *structure.Structure, readyAt time.Duration, build
 // CompleteDue promotes pending builds whose ready time has passed. It
 // returns the newly resident entries sorted by structure ID.
 func (c *Cache) CompleteDue() []*Entry {
-	var done []*Entry
-	for id, pb := range c.pending {
-		if pb.readyAt <= c.clock {
-			pb.entry.BuiltAt = pb.readyAt
-			pb.entry.LastUsed = pb.readyAt
-			pb.entry.MaintPaidUntil = pb.readyAt
-			c.entries[id] = pb.entry
-			c.resident += pb.entry.S.Bytes
-			done = append(done, pb.entry)
-			delete(c.pending, id)
-			c.epoch++
-		}
+	if c.nPending == 0 {
+		return nil
 	}
-	sort.Slice(done, func(i, j int) bool { return done[i].S.ID < done[j].S.ID })
+	var done []*Entry
+	for _, h := range c.order {
+		pb := c.pending[h]
+		if pb == nil || pb.readyAt > c.clock {
+			continue
+		}
+		pb.entry.BuiltAt = pb.readyAt
+		pb.entry.LastUsed = pb.readyAt
+		pb.entry.MaintPaidUntil = pb.readyAt
+		c.pending[h] = nil
+		c.nPending--
+		c.admit(pb.entry)
+		done = append(done, pb.entry)
+		c.epoch++
+	}
 	return done
 }
 
+// admit makes an entry resident, keeping the byte and node tallies.
+func (c *Cache) admit(e *Entry) {
+	c.entries[e.H] = e
+	c.nEntries++
+	c.resident += e.S.Bytes
+	if e.S.Kind == structure.KindCPUNode {
+		c.nodes++
+		c.maxNode = max(c.maxNode, e.S.NodeOrdinal)
+	}
+}
+
 // Touch records that a selected plan used the structure now.
-func (c *Cache) Touch(id structure.ID) {
-	if e, ok := c.entries[id]; ok {
+func (c *Cache) Touch(h structure.Handle) {
+	if e, ok := c.Get(h); ok {
 		if e.Uses == 0 {
 			e.FirstUsed = c.clock
 		}
@@ -214,13 +311,25 @@ func (c *Cache) Touch(id structure.ID) {
 }
 
 // Evict removes a resident structure and returns its entry.
-func (c *Cache) Evict(id structure.ID) (*Entry, bool) {
-	e, ok := c.entries[id]
+func (c *Cache) Evict(h structure.Handle) (*Entry, bool) {
+	e, ok := c.Get(h)
 	if !ok {
 		return nil, false
 	}
-	delete(c.entries, id)
+	c.entries[h] = nil
+	c.nEntries--
 	c.resident -= e.S.Bytes
+	if e.S.Kind == structure.KindCPUNode {
+		c.nodes--
+		if e.S.NodeOrdinal == c.maxNode {
+			c.maxNode = 1
+			c.ForEach(func(o *Entry) {
+				if o.S.Kind == structure.KindCPUNode {
+					c.maxNode = max(c.maxNode, o.S.NodeOrdinal)
+				}
+			})
+		}
+	}
 	c.epoch++
 	return e, true
 }
@@ -235,7 +344,7 @@ func (c *Cache) LRUVictims(n int) []*Entry {
 		if all[i].LastUsed != all[j].LastUsed {
 			return all[i].LastUsed < all[j].LastUsed
 		}
-		return all[i].S.ID < all[j].S.ID
+		return c.rank[all[i].H] < c.rank[all[j].H]
 	})
 	if n > len(all) {
 		n = len(all)
@@ -270,34 +379,18 @@ func (c *Cache) EnsureRoom(need int64) ([]*Entry, bool) {
 		if victim == nil {
 			return evicted, false
 		}
-		c.Evict(victim.S.ID)
+		c.Evict(victim.H)
 		evicted = append(evicted, victim)
 	}
 	return evicted, true
 }
 
 // NodeCount returns the number of resident extra CPU nodes.
-func (c *Cache) NodeCount() int {
-	n := 0
-	for _, e := range c.entries {
-		if e.S.Kind == structure.KindCPUNode {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) NodeCount() int { return c.nodes }
 
 // MaxNodeOrdinal returns the highest resident CPU node ordinal, or 1 when
 // only the base worker exists. Plans may use nodes 1..MaxNodeOrdinal.
-func (c *Cache) MaxNodeOrdinal() int {
-	best := 1
-	for _, e := range c.entries {
-		if e.S.Kind == structure.KindCPUNode && e.S.NodeOrdinal > best {
-			best = e.S.NodeOrdinal
-		}
-	}
-	return best
-}
+func (c *Cache) MaxNodeOrdinal() int { return c.maxNode }
 
 // PendingCount returns the number of builds in flight.
-func (c *Cache) PendingCount() int { return len(c.pending) }
+func (c *Cache) PendingCount() int { return c.nPending }

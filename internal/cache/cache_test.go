@@ -26,7 +26,7 @@ func TestBuildLifecycle(t *testing.T) {
 	if err := c.StartBuild(st, 10*time.Second, price); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Building(st.ID) || c.Has(st.ID) {
+	if !c.Building(c.Lookup(st.ID)) || c.Has(c.Lookup(st.ID)) {
 		t.Error("build should be pending, not resident")
 	}
 	if c.PendingCount() != 1 {
@@ -50,7 +50,7 @@ func TestBuildLifecycle(t *testing.T) {
 	if e.BuildPrice != price || e.AmortRemaining != price {
 		t.Errorf("entry prices wrong: %+v", e)
 	}
-	if !c.Has(st.ID) || c.Building(st.ID) {
+	if !c.Has(c.Lookup(st.ID)) || c.Building(c.Lookup(st.ID)) {
 		t.Error("structure should now be resident")
 	}
 	if c.ResidentBytes() != st.Bytes {
@@ -113,9 +113,9 @@ func TestTouchAndLRU(t *testing.T) {
 	c.CompleteDue()
 
 	c.Advance(10 * time.Second)
-	c.Touch(a.ID)
+	c.Touch(c.Lookup(a.ID))
 	c.Advance(20 * time.Second)
-	c.Touch(d.ID)
+	c.Touch(c.Lookup(d.ID))
 	// b never touched since build -> coldest.
 
 	victims := c.LRUVictims(2)
@@ -129,12 +129,12 @@ func TestTouchAndLRU(t *testing.T) {
 		t.Errorf("second = %s, want %s", victims[1].S.ID, a.ID)
 	}
 	// Uses counted.
-	e, _ := c.Get(a.ID)
+	e, _ := c.Get(c.Lookup(a.ID))
 	if e.Uses != 1 || e.LastUsed != 10*time.Second {
 		t.Errorf("entry = %+v", e)
 	}
 	// Touch of non-resident is a no-op.
-	c.Touch("nope")
+	c.Touch(c.Lookup("nope"))
 }
 
 func TestLRUVictimsBounds(t *testing.T) {
@@ -152,14 +152,14 @@ func TestEvict(t *testing.T) {
 	st := colStruct(t, "part", "p_retailprice")
 	c.StartBuild(st, 0, money.FromDollars(1))
 	c.CompleteDue()
-	e, ok := c.Evict(st.ID)
+	e, ok := c.Evict(c.Lookup(st.ID))
 	if !ok || e.S.ID != st.ID {
 		t.Fatal("evict failed")
 	}
-	if c.Has(st.ID) || c.ResidentBytes() != 0 {
+	if c.Has(c.Lookup(st.ID)) || c.ResidentBytes() != 0 {
 		t.Error("evict did not clean up")
 	}
-	if _, ok := c.Evict(st.ID); ok {
+	if _, ok := c.Evict(c.Lookup(st.ID)); ok {
 		t.Error("double evict succeeded")
 	}
 }
@@ -174,7 +174,7 @@ func TestEnsureRoomEvictsLRU(t *testing.T) {
 	c.StartBuild(b, 0, 0)
 	c.CompleteDue()
 	c.Advance(time.Second)
-	c.Touch(b.ID) // a becomes LRU
+	c.Touch(c.Lookup(b.ID)) // a becomes LRU
 
 	// No room needed: no evictions.
 	ev, ok := c.EnsureRoom(0)
@@ -186,7 +186,7 @@ func TestEnsureRoomEvictsLRU(t *testing.T) {
 	if !ok || len(ev) != 1 || ev[0].S.ID != a.ID {
 		t.Errorf("EnsureRoom evicted %v", ev)
 	}
-	if c.Has(a.ID) || !c.Has(b.ID) {
+	if c.Has(c.Lookup(a.ID)) || !c.Has(c.Lookup(b.ID)) {
 		t.Error("wrong victim evicted")
 	}
 	// Impossible need: report false, evict nothing further.
@@ -224,7 +224,7 @@ func TestEnsureRoomSkipsCPUNodes(t *testing.T) {
 			t.Error("CPU node evicted for disk pressure")
 		}
 	}
-	if !c.Has(structure.CPUNodeID(2)) {
+	if !c.Has(c.Lookup(structure.CPUNodeID(2))) {
 		t.Error("CPU node should survive disk pressure")
 	}
 }
@@ -243,7 +243,7 @@ func TestNodeAccounting(t *testing.T) {
 	if c.MaxNodeOrdinal() != 3 {
 		t.Errorf("MaxNodeOrdinal = %d", c.MaxNodeOrdinal())
 	}
-	c.Evict(structure.CPUNodeID(3))
+	c.Evict(c.Lookup(structure.CPUNodeID(3)))
 	if c.MaxNodeOrdinal() != 2 {
 		t.Errorf("after evict MaxNodeOrdinal = %d", c.MaxNodeOrdinal())
 	}
@@ -301,14 +301,58 @@ func TestTouchSetsFirstUsed(t *testing.T) {
 	c.StartBuild(st, 0, 0)
 	c.CompleteDue()
 	c.Advance(10 * time.Second)
-	c.Touch(st.ID)
+	c.Touch(c.Lookup(st.ID))
 	c.Advance(20 * time.Second)
-	c.Touch(st.ID)
-	e, _ := c.Get(st.ID)
+	c.Touch(c.Lookup(st.ID))
+	e, _ := c.Get(c.Lookup(st.ID))
 	if e.FirstUsed != 10*time.Second {
 		t.Errorf("FirstUsed = %v, want 10s (must not move on later touches)", e.FirstUsed)
 	}
 	if e.LastUsed != 20*time.Second || e.Uses != 2 {
 		t.Errorf("LastUsed/Uses = %v/%d", e.LastUsed, e.Uses)
+	}
+}
+
+func TestHandleTable(t *testing.T) {
+	c := New(0)
+	cat := catalog.TPCH(1)
+	idx, err := structure.IndexStructure(cat, catalog.IndexDef{Table: "lineitem", Columns: []string{"l_shipdate", "l_discount"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tax := colStruct(t, "lineitem", "l_tax")
+	hTax := c.Intern(tax)
+	hIdx := c.Intern(idx)
+	if c.Intern(colStruct(t, "lineitem", "l_tax")) != hTax || c.Intern(idx) != hIdx {
+		t.Error("re-interning an ID assigned a second handle")
+	}
+	if c.Structure(hTax) != tax || c.Structure(hIdx) != idx {
+		t.Error("Structure does not map a handle back to its descriptor")
+	}
+	// Interning the index interned the columns it is built from.
+	for _, col := range idx.IndexColumns {
+		if h := c.Lookup(col.ID); h == structure.NoHandle || c.Structure(h).ID != col.ID {
+			t.Errorf("index column %s not interned with its index", col.ID)
+		}
+	}
+	if got := len(c.Ordered()); got != 4 {
+		t.Fatalf("table holds %d structures, want 4", got)
+	}
+	if c.Lookup("col:nope.nope") != structure.NoHandle {
+		t.Error("unknown ID resolved to a handle")
+	}
+	if c.Has(structure.NoHandle) || c.Building(structure.NoHandle) {
+		t.Error("NoHandle reported resident or building")
+	}
+	c.StartBuild(structure.CPUNode(2), 0, 0)
+	// Ordered and Rank agree with a sort by ID, whatever the intern order.
+	order := c.Ordered()
+	for i, h := range order {
+		if int(c.Rank(h)) != i {
+			t.Errorf("Rank(%s) = %d, want %d", c.Structure(h).ID, c.Rank(h), i)
+		}
+		if i > 0 && c.Structure(order[i-1]).ID >= c.Structure(h).ID {
+			t.Errorf("Ordered not in ID order at %d: %s >= %s", i, c.Structure(order[i-1]).ID, c.Structure(h).ID)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/money"
@@ -61,15 +60,16 @@ func (c *Cache) Snapshot() State {
 			EarnedValue:    e.EarnedValue,
 		})
 	}
-	for id, pb := range c.pending {
-		st.Pending = append(st.Pending, PendingState{
-			ID:             id,
-			ReadyAt:        pb.readyAt,
-			BuildPrice:     pb.entry.BuildPrice,
-			AmortRemaining: pb.entry.AmortRemaining,
-		})
+	for _, h := range c.order {
+		if pb := c.pending[h]; pb != nil {
+			st.Pending = append(st.Pending, PendingState{
+				ID:             pb.entry.S.ID,
+				ReadyAt:        pb.readyAt,
+				BuildPrice:     pb.entry.BuildPrice,
+				AmortRemaining: pb.entry.AmortRemaining,
+			})
+		}
 	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].ID < st.Pending[j].ID })
 	return st
 }
 
@@ -81,7 +81,7 @@ func (c *Cache) Snapshot() State {
 // snapshot's: a capacity change means the scheme was reconfigured and
 // the snapshot no longer describes this cache.
 func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structure, error)) error {
-	if len(c.entries) != 0 || len(c.pending) != 0 {
+	if c.nEntries != 0 || c.nPending != 0 {
 		return fmt.Errorf("cache: restore into non-empty cache")
 	}
 	if c.capacity != st.Capacity {
@@ -90,18 +90,24 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 	if st.Clock < 0 {
 		return fmt.Errorf("cache: snapshot clock %v is negative", st.Clock)
 	}
-	entries := make(map[structure.ID]*Entry, len(st.Entries))
-	var resident int64
-	for _, es := range st.Entries {
-		if _, dup := entries[es.ID]; dup {
-			return fmt.Errorf("cache: duplicate entry %s in snapshot", es.ID)
-		}
-		s, err := resolve(es.ID)
+	// Validate everything before adopting anything, so a failed restore
+	// leaves the cache empty. seen marks each handle 1 once resident, 2
+	// once pending.
+	entries := make([]*Entry, len(st.Entries))
+	pending := make([]*pendingBuild, len(st.Pending))
+	seen := map[structure.Handle]int8{}
+	for i, es := range st.Entries {
+		h, err := c.internID(es.ID, resolve)
 		if err != nil {
 			return fmt.Errorf("cache: restoring %s: %w", es.ID, err)
 		}
-		entries[es.ID] = &Entry{
-			S:              s,
+		if seen[h] != 0 {
+			return fmt.Errorf("cache: duplicate entry %s in snapshot", es.ID)
+		}
+		seen[h] = 1
+		entries[i] = &Entry{
+			S:              c.structs[h],
+			H:              h,
 			BuiltAt:        es.BuiltAt,
 			FirstUsed:      es.FirstUsed,
 			LastUsed:       es.LastUsed,
@@ -112,23 +118,23 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 			UnpaidMaint:    es.UnpaidMaint,
 			EarnedValue:    es.EarnedValue,
 		}
-		resident += s.Bytes
 	}
-	pending := make(map[structure.ID]*pendingBuild, len(st.Pending))
-	for _, ps := range st.Pending {
-		if _, dup := pending[ps.ID]; dup {
-			return fmt.Errorf("cache: duplicate pending build %s in snapshot", ps.ID)
-		}
-		if _, dup := entries[ps.ID]; dup {
-			return fmt.Errorf("cache: %s both resident and pending in snapshot", ps.ID)
-		}
-		s, err := resolve(ps.ID)
+	for i, ps := range st.Pending {
+		h, err := c.internID(ps.ID, resolve)
 		if err != nil {
 			return fmt.Errorf("cache: restoring pending %s: %w", ps.ID, err)
 		}
-		pending[ps.ID] = &pendingBuild{
+		switch seen[h] {
+		case 1:
+			return fmt.Errorf("cache: %s both resident and pending in snapshot", ps.ID)
+		case 2:
+			return fmt.Errorf("cache: duplicate pending build %s in snapshot", ps.ID)
+		}
+		seen[h] = 2
+		pending[i] = &pendingBuild{
 			entry: &Entry{
-				S:              s,
+				S:              c.structs[h],
+				H:              h,
 				BuildPrice:     ps.BuildPrice,
 				AmortRemaining: ps.AmortRemaining,
 			},
@@ -136,8 +142,25 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 		}
 	}
 	c.clock = st.Clock
-	c.entries = entries
-	c.pending = pending
-	c.resident = resident
+	for _, e := range entries {
+		c.admit(e)
+	}
+	for _, pb := range pending {
+		c.pending[pb.entry.H] = pb
+		c.nPending++
+	}
 	return nil
+}
+
+// internID interns the structure behind an ID, resolving it only when
+// the table has not seen the ID yet.
+func (c *Cache) internID(id structure.ID, resolve func(structure.ID) (*structure.Structure, error)) (structure.Handle, error) {
+	if h := c.Lookup(id); h != structure.NoHandle {
+		return h, nil
+	}
+	s, err := resolve(id)
+	if err != nil {
+		return structure.NoHandle, err
+	}
+	return c.Intern(s), nil
 }

@@ -1,7 +1,6 @@
 package economy
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -40,7 +39,7 @@ import (
 
 // testEconomy builds the standard adversarial test rig: TPCH catalog,
 // paper templates, conservative economy under the given provider.
-func testEconomy(t *testing.T, provider Provider, mutate func(*Config)) (*Economy, *optimizer.Optimizer, *cache.Cache, []*workload.Template) {
+func testEconomy(t testing.TB, provider Provider, mutate func(*Config)) (*Economy, *optimizer.Optimizer, *cache.Cache, []*workload.Template) {
 	t.Helper()
 	cat := catalog.TPCH(20)
 	model, err := cost.NewModel(cat, pricing.EC22008(), cost.DefaultTunables())
@@ -89,14 +88,16 @@ func testEconomy(t *testing.T, provider Provider, mutate func(*Config)) (*Econom
 // least-regret existing entry), not evict the entry it just inserted.
 func TestLedgerCapAdmitsNewEntries(t *testing.T) {
 	l := newLedger("t", 0, 4)
+	// Handles 0..3 are s0..s3; handle 4 is the fresh structure.
+	const s0, fresh = structure.Handle(0), structure.Handle(4)
 	for i := 0; i < 4; i++ {
-		l.add(structure.ID(fmt.Sprintf("s%d", i)), money.Amount(100*(i+1)))
+		l.add(structure.Handle(i), money.Amount(100*(i+1)))
 	}
-	l.add("fresh", money.Amount(1000))
-	if _, ok := l.entries["fresh"]; !ok {
+	l.add(fresh, money.Amount(1000))
+	if l.find(fresh) < 0 {
 		t.Fatal("full ledger evicted the entry it just inserted (inverted LRU): new structures can never accrue regret")
 	}
-	if _, ok := l.entries["s0"]; ok {
+	if l.find(s0) >= 0 {
 		t.Error("eviction spared the least-regret entry s0")
 	}
 	if l.regretDropped != money.Amount(100) {
@@ -115,7 +116,7 @@ func TestLedgerCapAdmitsNewEntries(t *testing.T) {
 func TestLedgerCapEvictionAccountsRegret(t *testing.T) {
 	const capN = 8
 	l := newLedger("t", 0, capN)
-	victim := structure.ID("victim")
+	victim := structure.Handle(0)
 	var victimRegret money.Amount
 	for round := 0; round < 500; round++ {
 		l.add(victim, money.Amount(50))
@@ -124,13 +125,14 @@ func TestLedgerCapEvictionAccountsRegret(t *testing.T) {
 		// with a token share — under LRU eviction these would rotate the
 		// victim out every round.
 		for j := 0; j < capN; j++ {
-			l.add(structure.ID(fmt.Sprintf("oneoff-%d-%d", round, j)), money.Amount(1))
+			l.add(structure.Handle(1+round*capN+j), money.Amount(1))
 		}
 	}
-	e, ok := l.entries[victim]
-	if !ok {
+	i := l.find(victim)
+	if i < 0 {
 		t.Fatal("cold-cycling one-off IDs evicted the victim structure's regret entry")
 	}
+	e := l.entries[i]
 	if e.regret != victimRegret {
 		t.Errorf("victim regret %v, want %v accrued across the attack", e.regret, victimRegret)
 	}
@@ -339,7 +341,13 @@ func TestInvestBackoffSurvivesRestore(t *testing.T) {
 			if econ.market.failureCount == 0 {
 				t.Fatal("stream produced no structure failures; backoff never exercised")
 			}
-			if len(econ.market.failCount) == 0 {
+			failed := 0
+			for _, n := range econ.market.failCount {
+				if n > 0 {
+					failed++
+				}
+			}
+			if failed == 0 {
 				t.Fatal("failures recorded no failCount backoff history")
 			}
 
@@ -352,17 +360,28 @@ func TestInvestBackoffSurvivesRestore(t *testing.T) {
 			if err := restored.Restore(st); err != nil {
 				t.Fatal(err)
 			}
-			if len(restored.market.failCount) != len(econ.market.failCount) {
-				t.Fatalf("restore kept %d failCount entries, want %d",
-					len(restored.market.failCount), len(econ.market.failCount))
+			restoredFailed := 0
+			for _, n := range restored.market.failCount {
+				if n > 0 {
+					restoredFailed++
+				}
+			}
+			if restoredFailed != failed {
+				t.Fatalf("restore kept %d failCount entries, want %d", restoredFailed, failed)
 			}
 			threshold := money.FromDollars(0.001)
-			for id, n := range econ.market.failCount {
-				if got := restored.market.failCount[id]; got != n {
+			beforeBars := []money.Amount{threshold}
+			afterBars := []money.Amount{threshold}
+			for h, n := range econ.market.failCount {
+				if n == 0 {
+					continue
+				}
+				id := ca.Structure(structure.Handle(h)).ID
+				if got := restored.market.fails(structure.Handle(h)); got != n {
 					t.Errorf("failCount[%s] restored as %d, want %d", id, got, n)
 				}
-				before := econ.market.investmentBar(threshold, id)
-				after := restored.market.investmentBar(threshold, id)
+				before := econ.market.investmentBar(&beforeBars, structure.Handle(h))
+				after := restored.market.investmentBar(&afterBars, structure.Handle(h))
 				if before != after {
 					t.Errorf("investment bar for %s changed across restore: %v -> %v", id, before, after)
 				}

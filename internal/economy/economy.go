@@ -29,7 +29,9 @@
 package economy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -215,6 +217,7 @@ func (c Config) Validate() error {
 
 // regretEntry is one ledger row.
 type regretEntry struct {
+	h       structure.Handle
 	regret  money.Amount
 	touched int64 // ledger logical clock for LRU GC
 }
@@ -275,6 +278,13 @@ type Economy struct {
 	scratchExist  []*plan.Plan
 	scratchPoss   []*plan.Plan
 	scratchAfford []*plan.Plan
+
+	// scratchBars and scratchCross back invest's bar table and its list
+	// of crossing rows, and scratchRows the ID-ordered copy of a ledger
+	// that Snapshot exports, for the same reason.
+	scratchBars  []money.Amount
+	scratchCross []crossing
+	scratchRows  []regretEntry
 }
 
 // SetEvents installs a sink for the economy's structured events: every
@@ -359,12 +369,13 @@ func (e *Economy) Credit() money.Amount {
 // Regret returns the accumulated live regret for a structure across all
 // ledgers.
 func (e *Economy) Regret(id structure.ID) money.Amount {
+	h := e.cfg.Cache.Lookup(id)
 	if e.pool != nil {
-		return e.pool.regretOf(id)
+		return e.pool.regretOf(h)
 	}
 	var total money.Amount
 	for _, l := range e.tenants {
-		total = total.Add(l.regretOf(id))
+		total = total.Add(l.regretOf(h))
 	}
 	return total
 }
@@ -485,9 +496,9 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 	}
 
 	// Regret accrual for rejected possible plans, then investment. Regret
-	// lands in the deciding account's live map (the pool when altruistic,
-	// the tenant's own when selfish) and is attributed to the tenant in
-	// either case.
+	// lands in the deciding account's live regret rows (the pool when
+	// altruistic, the tenant's own when selfish) and is attributed to the
+	// tenant in either case.
 	d.RegretAccrued = e.accrueRegret(q, plans, d.Chosen, led, acct)
 	d.Investments, d.InvestConsidered = e.invest(acct)
 	return d, nil
@@ -551,8 +562,8 @@ func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec 
 	var colShare, extraShare money.Amount
 	if p.Location == plan.Cache {
 		nCols, nExtras := 0, 0
-		for _, st := range p.Structures.Items() {
-			if st.Kind == structure.KindColumn {
+		for _, h := range p.Structures {
+			if e.cfg.Cache.Structure(h).Kind == structure.KindColumn {
 				nCols++
 			} else {
 				nExtras++
@@ -582,17 +593,18 @@ func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec 
 	// entry is gone, the Get below misses, and its priced components go
 	// unreimbursed (the provider absorbs them, in both modes the rent
 	// risk of a failed structure).
-	for _, st := range p.Structures.Items() {
-		entry, ok := e.cfg.Cache.Get(st.ID)
+	for _, h := range p.Structures {
+		entry, ok := e.cfg.Cache.Get(h)
 		if !ok {
 			continue
 		}
+		st := entry.S
 		share := cache.AmortShare(entry, e.cfg.AmortN)
 		if e.pool == nil {
 			// Selfish: reimburse the structure's owner for the amortized
 			// build share plus the maintenance arrears this use settles.
 			recovery := share.Add(e.market.maintDueOf(entry))
-			owner := e.ledgerFor(e.market.owner[st.ID])
+			owner := e.ledgerFor(e.market.ownerOf(h))
 			owner.credit = owner.credit.Add(recovery)
 			owner.recovered = owner.recovered.Add(recovery)
 			if recovery != 0 {
@@ -615,7 +627,7 @@ func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec 
 			earned = earned.Add(extraShare)
 		}
 		entry.EarnedValue = entry.EarnedValue.Add(earned)
-		e.cfg.Cache.Touch(st.ID)
+		e.cfg.Cache.Touch(h)
 	}
 }
 
@@ -655,9 +667,9 @@ func (e *Economy) accrueRegret(q *workload.Query, plans []*plan.Plan, chosen *pl
 // ("the regret ... is distributed uniformly to every physical structure
 // used by the plan"; resident structures need no investment so only the
 // missing ones are tracked). The share lands in the deciding account's
-// live map and is attributed to the generating tenant's cumulative
-// counter. The return is the regret actually landed (skipped kinds
-// accrue nothing).
+// live regret rows and is attributed to the generating tenant's
+// cumulative counter. The return is the regret actually landed (skipped
+// kinds accrue nothing).
 func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) money.Amount {
 	n := int64(len(p.Missing))
 	if n == 0 || !r.IsPositive() {
@@ -671,19 +683,15 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 	base := money.Amount(int64(r) / n)
 	rem := int64(r) % n
 	var landed money.Amount
-	for i, id := range p.Missing {
+	for i, h := range p.Missing {
 		share := base
 		if int64(i) < rem {
 			share++
 		}
-		if !share.IsPositive() {
+		if !share.IsPositive() || !e.kindAllowed(e.cfg.Cache.Structure(h).Kind) {
 			continue
 		}
-		st, _ := p.Structures.Get(id)
-		if st == nil || !e.kindAllowed(st.Kind) {
-			continue
-		}
-		acct.add(id, share)
+		acct.add(h, share)
 		landed = landed.Add(share)
 		if acct != led {
 			led.regretAccrued = led.regretAccrued.Add(share)
@@ -700,6 +708,13 @@ func (e *Economy) kindAllowed(k structure.Kind) bool {
 	return e.cfg.InvestKinds[k]
 }
 
+// crossing is one regret row whose regret crossed its Eq. 3 bar: the
+// row's position in the ledger and its structure's rank in ID order.
+type crossing struct {
+	rank int32
+	row  int32
+}
+
 // invest scans the account's regret ledger and builds every structure
 // whose accumulated regret satisfies Eq. 3: round(regret_S / (a·CR)) >= 1,
 // i.e. regret has risen to the fraction a of the account. Investments
@@ -709,6 +724,11 @@ func (e *Economy) kindAllowed(k structure.Kind) bool {
 // ledger, so one tenant's regret never spends another tenant's money.
 // The second return counts candidates whose regret crossed the bar,
 // whether or not the build went through (decision tracing).
+//
+// The threshold and every failure count stay fixed for the whole call
+// (builds change credit and residency, never the bar), so which rows
+// cross is decided up front in one pass; only those are sorted into ID
+// order and acted on, and the pass costs O(rows + crossing·log crossing).
 func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 	if !acct.credit.IsPositive() {
 		return nil, 0
@@ -717,48 +737,40 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 	if !threshold.IsPositive() {
 		return nil, 0
 	}
-	// Fast path for the common query that triggers nothing: the sorted
-	// pass below only ever acts on entries whose regret crosses the bar,
-	// so if no entry does, the whole pass is a no-op — detect that with
-	// one read-only sweep of the live map (iteration order is irrelevant
-	// to a boolean) and skip the per-call sorted-ID allocation.
-	crossed := false
-	for id, entry := range acct.entries {
-		if entry.regret.MulInt(2) >= e.market.investmentBar(threshold, id) {
-			crossed = true
-			break
-		}
-	}
-	if !crossed {
-		return nil, 0
-	}
-	var built []structure.ID
-	considered := 0
-	for _, id := range acct.sortedIDs() {
-		entry := acct.entries[id]
+	ca := e.cfg.Cache
+	bars := append(e.scratchBars[:0], threshold)
+	cross := e.scratchCross[:0]
+	for i := range acct.entries {
 		// Eq. 3 with round(): triggers at regret >= 0.5·a·CR. A history
 		// of failed builds raises the bar exponentially.
-		bar := e.market.investmentBar(threshold, id)
-		if entry.regret.MulInt(2) < bar {
-			continue
-		}
-		considered++
-		ca := e.cfg.Cache
-		if ca.Has(id) || ca.Building(id) {
-			delete(acct.entries, id)
-			continue
-		}
-		st, err := e.market.resolveStructure(id)
-		if err != nil {
-			delete(acct.entries, id)
-			continue
-		}
-		if e.market.buildStructure(st, acct) {
-			built = append(built, id)
-			delete(acct.entries, id)
+		en := &acct.entries[i]
+		if en.regret.MulInt(2) >= e.market.investmentBar(&bars, en.h) {
+			cross = append(cross, crossing{rank: ca.Rank(en.h), row: int32(i)})
 		}
 	}
-	return built, considered
+	e.scratchBars, e.scratchCross = bars, cross
+	if len(cross) == 0 {
+		return nil, 0
+	}
+	slices.SortFunc(cross, func(a, b crossing) int { return cmp.Compare(a.rank, b.rank) })
+	var built []structure.ID
+	consumed := 0
+	for _, c := range cross {
+		en := &acct.entries[c.row]
+		h := en.h
+		if !ca.Has(h) && !ca.Building(h) {
+			if !e.market.buildStructure(h, acct) {
+				continue
+			}
+			built = append(built, ca.Structure(h).ID)
+		}
+		en.h = structure.NoHandle // consumed: resident, building or just built
+		consumed++
+	}
+	if consumed > 0 {
+		acct.entries = slices.DeleteFunc(acct.entries, func(en regretEntry) bool { return en.h == structure.NoHandle })
+	}
+	return built, len(cross)
 }
 
 // Stats is a snapshot of the economy's lifetime counters, aggregated

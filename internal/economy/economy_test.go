@@ -1,6 +1,7 @@
 package economy
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -304,7 +305,7 @@ func TestIndexInvestmentBuildsMissingColumnsFirst(t *testing.T) {
 	idxDef := q.Template.IndexCandidates[0]
 	for _, ref := range idxDef.Refs() {
 		colID := structure.ColumnID(ref)
-		if !r.cache.Building(colID) && !r.cache.Has(colID) {
+		if !r.cache.Building(r.cache.Lookup(colID)) && !r.cache.Has(r.cache.Lookup(colID)) {
 			t.Errorf("index key column %s not scheduled", colID)
 		}
 	}
@@ -335,7 +336,7 @@ func TestSettleCollectsAmortizationAndMaintenance(t *testing.T) {
 		t.Error("no maintenance collected")
 	}
 	// Entry state updated.
-	e, _ := r.cache.Get(structure.ColumnID(tpl.Columns[0]))
+	e, _ := r.cache.Get(r.cache.Lookup(structure.ColumnID(tpl.Columns[0])))
 	if e.AmortRemaining == buildPrice {
 		t.Error("AmortRemaining not reduced")
 	}
@@ -376,7 +377,7 @@ func TestMaintenanceFailureEvicts(t *testing.T) {
 	if !found {
 		t.Errorf("structure with month-long arrears did not fail: %v", d.Failures)
 	}
-	if r.cache.Has(st.ID) {
+	if r.cache.Has(r.cache.Lookup(st.ID)) {
 		t.Error("failed structure still resident")
 	}
 	if r.econ.Stats().FailureCount != 1 {
@@ -480,7 +481,7 @@ func TestHandleQueryErrors(t *testing.T) {
 		t.Error("empty plan set accepted")
 	}
 	// A plan set with no runnable plan is a contract violation.
-	p := &plan.Plan{Query: q, Structures: structure.NewSet(), Missing: []structure.ID{"col:x.y"}}
+	p := &plan.Plan{Query: q, Missing: []structure.Handle{0}}
 	if _, err := r.econ.HandleQuery(q, []*plan.Plan{p}); err == nil {
 		t.Error("no-runnable-plan set accepted")
 	}
@@ -526,5 +527,43 @@ func TestResolveID(t *testing.T) {
 		if _, err := ResolveID(cat, bad); err == nil {
 			t.Errorf("bad id %q accepted", bad)
 		}
+	}
+}
+
+// TestRestoreRejectsUnresolvableIDs pins restore validation: a ledger
+// row, owner or failure count naming a structure the catalog cannot
+// resolve fails the restore and leaves the economy fresh, instead of
+// sitting in the live ledger until an invest pass drops it.
+func TestRestoreRejectsUnresolvableIDs(t *testing.T) {
+	const bogus = structure.ID("idx_lineitem(no_such_column)")
+	good := structure.ColumnID(catalog.Col("lineitem", "l_shipdate"))
+	ledger := func(id structure.ID) LedgerState {
+		return LedgerState{Tenant: "t", Credit: money.FromDollars(1), Clock: 1,
+			Entries: []RegretEntryState{{ID: id, Regret: money.FromMicros(5), Touched: 1}}}
+	}
+	cases := map[string]*State{
+		"ledger row": {Provider: ProviderSelfish, Tenants: []LedgerState{ledger(bogus)}},
+		"owner": {Provider: ProviderSelfish, Tenants: []LedgerState{ledger(good)},
+			Market: MarketState{Owners: []OwnerState{{ID: bogus, Tenant: "t"}}}},
+		"failure count": {Provider: ProviderSelfish, Tenants: []LedgerState{ledger(good)},
+			Market: MarketState{FailCounts: []FailCountState{{ID: bogus, Count: 2}}}},
+	}
+	for name, st := range cases {
+		econ, _, _, _ := testEconomy(t, ProviderSelfish, nil)
+		err := econ.Restore(st)
+		if err == nil || !strings.Contains(err.Error(), string(bogus)) {
+			t.Errorf("%s: restore of %s = %v, want an error naming it", name, bogus, err)
+		}
+		if len(econ.tenants) != 0 || econ.Stats().LedgerSize != 0 {
+			t.Errorf("%s: failed restore left state behind", name)
+		}
+	}
+	// The same state with a resolvable ID restores, row intact.
+	econ, _, _, _ := testEconomy(t, ProviderSelfish, nil)
+	if err := econ.Restore(&State{Provider: ProviderSelfish, Tenants: []LedgerState{ledger(good)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := econ.Regret(good); got != money.FromMicros(5) {
+		t.Errorf("restored regret on %s = %v, want 5µ$", good, got)
 	}
 }

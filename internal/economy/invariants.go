@@ -6,6 +6,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/money"
 	"repro/internal/plan"
+	"repro/internal/structure"
 )
 
 // This file holds the economy's adversarial-audit hooks: a pure
@@ -116,8 +117,9 @@ func (e *Economy) selectPlanWith(b budget.Func, plans []*plan.Plan) *plan.Plan {
 // CheckInvariants audits every conservation law the books must satisfy
 // at any point between queries, returning the first violation:
 //
-//   - regret entries are non-negative, their count respects the cap, and
-//     no entry's LRU stamp runs ahead of the ledger clock;
+//   - regret entries name interned structures, one entry per structure,
+//     are non-negative, their count respects the cap, and no entry's LRU
+//     stamp runs ahead of the ledger clock;
 //   - regret conserves: live + dropped never exceeds accrued (the
 //     difference is what investment legitimately consumed), and all
 //     three counters are non-negative;
@@ -132,9 +134,19 @@ func (e *Economy) selectPlanWith(b budget.Func, plans []*plan.Plan) *plan.Plan {
 // It is O(total ledger entries): cheap enough for a property test to
 // call between every query, too hot for the serving path.
 func (e *Economy) CheckInvariants() error {
+	ca := e.cfg.Cache
 	check := func(l *Ledger, isAccount bool) error {
 		var live money.Amount
-		for id, entry := range l.entries {
+		seen := make(map[structure.Handle]bool, len(l.entries))
+		for _, entry := range l.entries {
+			if uint(entry.h) >= uint(len(ca.Ordered())) {
+				return fmt.Errorf("ledger %q: entry with unknown handle %d", l.tenant, entry.h)
+			}
+			id := ca.Structure(entry.h).ID
+			if seen[entry.h] {
+				return fmt.Errorf("ledger %q: two entries for %s", l.tenant, id)
+			}
+			seen[entry.h] = true
 			if entry.regret.IsNegative() {
 				return fmt.Errorf("ledger %q: negative regret %v on %s", l.tenant, entry.regret, id)
 			}
@@ -182,9 +194,9 @@ func (e *Economy) CheckInvariants() error {
 		}
 	}
 	if e.pool != nil {
-		for id, owner := range e.market.owner {
-			if owner != "" {
-				return fmt.Errorf("altruistic provider recorded tenant %q as owner of %s", owner, id)
+		for h, o := range e.market.owners {
+			if o.tenant != "" {
+				return fmt.Errorf("altruistic provider recorded tenant %q as owner of %s", o.tenant, ca.Structure(structure.Handle(h)).ID)
 			}
 		}
 	}

@@ -205,8 +205,8 @@ func TestRegretLedgerNeverNegative(t *testing.T) {
 		}
 		// Spot-check ledger non-negativity on this query's structures.
 		for _, p := range plans {
-			for _, id := range p.Missing {
-				if r.econ.Regret(id).IsNegative() {
+			for _, h := range p.Missing {
+				if id := r.cache.Structure(h).ID; r.econ.Regret(id).IsNegative() {
 					t.Fatalf("negative regret for %s", id)
 				}
 			}
@@ -253,10 +253,10 @@ func TestFailedStructuresLeaveNoResidue(t *testing.T) {
 		}
 		for _, id := range d.Failures {
 			seenFail = true
-			if r.cache.Has(id) {
+			if r.cache.Has(r.cache.Lookup(id)) {
 				t.Fatalf("failed structure %s still resident", id)
 			}
-			if _, ok := r.cache.Get(id); ok {
+			if _, ok := r.cache.Get(r.cache.Lookup(id)); ok {
 				t.Fatalf("failed structure %s still fetchable", id)
 			}
 		}

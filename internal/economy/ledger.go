@@ -1,8 +1,6 @@
 package economy
 
 import (
-	"slices"
-
 	"repro/internal/money"
 	"repro/internal/structure"
 )
@@ -12,20 +10,22 @@ import (
 // drive the Eq. 3 investment test when the provider is selfish.
 //
 // Under the altruistic provider there is one communal Ledger (the pool)
-// holding the account and the live regret map — exactly the single-account
-// economy of §IV — while per-tenant Ledgers act as mirrors: they attribute
-// spend, profit and accrued regret to the tenant that generated them but
-// carry no credit of their own. Under the selfish provider every tenant
-// Ledger is a real account: it is seeded with the initial capital on first
-// contact, its own regret alone triggers builds, and those builds are
-// charged to (and amortized back into) it.
+// holding the account and the live regret rows — exactly the
+// single-account economy of §IV — while per-tenant Ledgers act as
+// mirrors: they attribute spend, profit and accrued regret to the tenant
+// that generated them but carry no credit of their own. Under the
+// selfish provider every tenant Ledger is a real account: it is seeded
+// with the initial capital on first contact, its own regret alone
+// triggers builds, and those builds are charged to (and amortized back
+// into) it.
 type Ledger struct {
 	tenant string
 	credit money.Amount
 
-	// entries is the live regret map (Eq. 1–2 accumulation, LRU-capped
-	// per §IV-B); clock is its logical LRU clock.
-	entries map[structure.ID]*regretEntry
+	// entries are the live regret rows (Eq. 1–2 accumulation, capped
+	// per §IV-B), one per structure handle in no particular order;
+	// clock is their logical LRU clock.
+	entries []regretEntry
 	clock   int64
 	cap     int
 
@@ -33,7 +33,7 @@ type Ledger struct {
 	// per-tenant regret stays reportable and mergeable even after ledger
 	// entries are consumed by investment or garbage collected.
 	// regretDropped is the cumulative regret discarded by cap evictions:
-	// the live map may forget a structure, but the books never silently
+	// the live rows may forget a structure, but the books never silently
 	// lose the regret it had accrued (live + dropped <= accrued always).
 	spend         money.Amount
 	profitTotal   money.Amount
@@ -45,19 +45,11 @@ type Ledger struct {
 	declinedCount int64
 	queries       int64
 	cacheAnswered int64
-
-	// idScratch backs sortedIDs, reused across investment scans.
-	idScratch []structure.ID
 }
 
 // newLedger opens a ledger with the given seed capital and regret cap.
 func newLedger(tenant string, seed money.Amount, cap int) *Ledger {
-	return &Ledger{
-		tenant:  tenant,
-		credit:  seed,
-		entries: make(map[structure.ID]*regretEntry),
-		cap:     cap,
-	}
+	return &Ledger{tenant: tenant, credit: seed, cap: cap}
 }
 
 // Tenant returns the ledger's tenant name ("" for the communal pool).
@@ -66,10 +58,20 @@ func (l *Ledger) Tenant() string { return l.tenant }
 // Credit returns the account balance.
 func (l *Ledger) Credit() money.Amount { return l.credit }
 
+// find returns the position of the structure's row, or -1.
+func (l *Ledger) find(h structure.Handle) int {
+	for i := range l.entries {
+		if l.entries[i].h == h {
+			return i
+		}
+	}
+	return -1
+}
+
 // regretOf returns the live regret accumulated against a structure.
-func (l *Ledger) regretOf(id structure.ID) money.Amount {
-	if e, ok := l.entries[id]; ok {
-		return e.regret
+func (l *Ledger) regretOf(h structure.Handle) money.Amount {
+	if i := l.find(h); i >= 0 {
+		return l.entries[i].regret
 	}
 	return 0
 }
@@ -80,22 +82,19 @@ func (l *Ledger) regretOf(id structure.ID) money.Amount {
 // empty, gc, then fill) let a full ledger evict every newcomer at
 // touched=0 — the map froze at its first cap entries and new structures
 // could never accrue regret again.
-func (l *Ledger) add(id structure.ID, share money.Amount) {
+func (l *Ledger) add(h structure.Handle, share money.Amount) {
 	l.clock++
-	entry, ok := l.entries[id]
-	if !ok {
-		entry = &regretEntry{}
-		l.entries[id] = entry
-	}
-	entry.regret = entry.regret.Add(share)
-	entry.touched = l.clock
 	l.regretAccrued = l.regretAccrued.Add(share)
-	if !ok {
-		l.gc()
+	if i := l.find(h); i >= 0 {
+		l.entries[i].regret = l.entries[i].regret.Add(share)
+		l.entries[i].touched = l.clock
+		return
 	}
+	l.entries = append(l.entries, regretEntry{h: h, regret: share, touched: l.clock})
+	l.gc()
 }
 
-// gc enforces the cap on the regret map (§IV-B garbage collection). The
+// gc enforces the cap on the regret rows (§IV-B garbage collection). The
 // victim is the entry with the least regret, oldest-touched among ties —
 // plain LRU would let an adversary cold-cycle one-off structure IDs
 // through the map and evict a victim structure's accumulating regret
@@ -107,29 +106,22 @@ func (l *Ledger) gc() {
 	if len(l.entries) <= l.cap {
 		return
 	}
-	var victim structure.ID
-	var ve *regretEntry
-	for id, entry := range l.entries {
-		if ve == nil || entry.regret < ve.regret ||
-			(entry.regret == ve.regret && entry.touched < ve.touched) {
-			victim, ve = id, entry
+	v := 0
+	for i, entry := range l.entries {
+		ve := l.entries[v]
+		if entry.regret < ve.regret || (entry.regret == ve.regret && entry.touched < ve.touched) {
+			v = i
 		}
 	}
-	l.regretDropped = l.regretDropped.Add(ve.regret)
-	delete(l.entries, victim)
+	l.regretDropped = l.regretDropped.Add(l.entries[v].regret)
+	l.remove(v)
 }
 
-// sortedIDs returns the regret map's keys in deterministic order for the
-// investment scan. The returned slice is a per-ledger scratch buffer,
-// valid until the next call.
-func (l *Ledger) sortedIDs() []structure.ID {
-	ids := l.idScratch[:0]
-	for id := range l.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	l.idScratch = ids
-	return ids
+// remove deletes row i by moving the last row into its place.
+func (l *Ledger) remove(i int) {
+	last := len(l.entries) - 1
+	l.entries[i] = l.entries[last]
+	l.entries = l.entries[:last]
 }
 
 // TenantStats is the reportable snapshot of one tenant's ledger.
@@ -150,7 +142,7 @@ type TenantStats struct {
 	RegretAccrued money.Amount
 	// RegretLive is the sum of the live regret entries; RegretDropped is
 	// the cumulative regret discarded by ledger-cap evictions. Both are
-	// zero under the altruistic provider, whose live map is communal, and
+	// zero under the altruistic provider, whose live rows are communal, and
 	// RegretLive + RegretDropped never exceeds the account's share of
 	// RegretAccrued (the rest was consumed by investment).
 	RegretLive    money.Amount
@@ -160,8 +152,8 @@ type TenantStats struct {
 	// InvestCount is the number of structure builds charged to this
 	// tenant (always zero under the altruistic provider).
 	InvestCount int64
-	// LedgerSize is the tenant's live regret-map size (zero under the
-	// altruistic provider, whose live map is communal).
+	// LedgerSize is the tenant's live regret-row count (zero under the
+	// altruistic provider, whose live rows are communal).
 	LedgerSize int
 }
 

@@ -1,7 +1,6 @@
 package economy
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/cache"
@@ -23,21 +22,14 @@ import (
 type Market struct {
 	cfg Config
 
-	// owner records which tenant financed each structure's build ("" for
-	// the altruistic pool). Cleared on eviction: a rebuild may be financed
-	// by someone else.
-	owner map[structure.ID]string
+	// owners records, by handle, which tenant financed each structure's
+	// build ("" for the altruistic pool). Cleared on eviction: a rebuild
+	// may be financed by someone else.
+	owners []owner
 
-	// failCount records how many times a structure has failed, for
-	// investment backoff. Survives eviction by design.
-	failCount map[structure.ID]int
-
-	// resolved caches ID → Structure reconstructions. Structures are
-	// immutable descriptors and the ID space is catalog-bounded, so the
-	// cache never invalidates; without it a ledger entry that sits above
-	// the investment bar but cannot build (conservative provider, low
-	// credit) re-parses its ID on every query.
-	resolved map[structure.ID]*structure.Structure
+	// failCount records, by handle, how many times a structure has
+	// failed, for investment backoff. Survives eviction by design.
+	failCount []int
 
 	// buildUsage accumulates the physical resource usage of investments
 	// since the last drain.
@@ -49,6 +41,17 @@ type Market struct {
 	// the invest and evict events the market itself originates.
 	events func(obs.Event)
 }
+
+// owner is one structure's financier; set distinguishes the pool's ""
+// from no owner at all.
+type owner struct {
+	tenant string
+	set    bool
+}
+
+// maxBackoffSteps caps how many times a failure history raises the
+// Eq. 3 bar.
+const maxBackoffSteps = 30
 
 // emit reports one event if a sink is installed, stamping the economy
 // clock.
@@ -62,11 +65,7 @@ func (m *Market) emit(ev obs.Event) {
 
 // newMarket wires the shared pool.
 func newMarket(cfg Config) *Market {
-	return &Market{
-		cfg:       cfg,
-		owner:     make(map[structure.ID]string),
-		failCount: make(map[structure.ID]int),
-	}
+	return &Market{cfg: cfg}
 }
 
 // Cache exposes the shared residency state.
@@ -74,7 +73,46 @@ func (m *Market) Cache() *cache.Cache { return m.cfg.Cache }
 
 // Owner returns the tenant that financed a resident structure ("" for
 // the communal pool or unknown structures).
-func (m *Market) Owner(id structure.ID) string { return m.owner[id] }
+func (m *Market) Owner(id structure.ID) string { return m.ownerOf(m.cfg.Cache.Lookup(id)) }
+
+// ownerOf returns the financier of the structure behind h.
+func (m *Market) ownerOf(h structure.Handle) string {
+	if uint(h) < uint(len(m.owners)) {
+		return m.owners[h].tenant
+	}
+	return ""
+}
+
+// setOwner records (set) or clears the financier of the structure
+// behind h.
+func (m *Market) setOwner(h structure.Handle, tenant string, set bool) {
+	m.owners = growTo(m.owners, h)
+	m.owners[h] = owner{tenant: tenant, set: set}
+}
+
+// fails returns the failure count of the structure behind h.
+func (m *Market) fails(h structure.Handle) int {
+	if int(h) < len(m.failCount) {
+		return m.failCount[h]
+	}
+	return 0
+}
+
+// setFails records the failure count of the structure behind h.
+func (m *Market) setFails(h structure.Handle, n int) {
+	m.failCount = growTo(m.failCount, h)
+	m.failCount[h] = n
+}
+
+// growTo extends a slice indexed by handle with zero values until h is
+// a valid index. Such slices grow lazily because the cache interns new
+// structures without telling their other users.
+func growTo[T any](s []T, h structure.Handle) []T {
+	if n := int(h) + 1 - len(s); n > 0 {
+		s = append(s, make([]T, n)...)
+	}
+	return s
+}
 
 // drainBuildUsage returns the physical usage of all investments since the
 // previous drain and resets the accumulator.
@@ -84,25 +122,32 @@ func (m *Market) drainBuildUsage() cost.Usage {
 	return u
 }
 
-// investmentBar raises the Eq. 3 threshold exponentially with the
-// structure's failure history, damping build-evict-rebuild cycles.
-func (m *Market) investmentBar(threshold money.Amount, id structure.ID) money.Amount {
-	bar := threshold
+// investmentBar returns the Eq. 3 threshold for the structure behind h:
+// the base threshold raised exponentially with its failure history,
+// damping build-evict-rebuild cycles. bars is the bar table of one
+// threshold, starting as {threshold}: bars[k] is the bar after k
+// failures, each step one MulFloat of the previous, and the table grows
+// on demand, so an invest pass multiplies at most maxBackoffSteps times
+// however many entries it tests.
+func (m *Market) investmentBar(bars *[]money.Amount, h structure.Handle) money.Amount {
+	k := 0
 	if m.cfg.InvestBackoff > 1 {
-		for i := 0; i < m.failCount[id] && i < 30; i++ {
-			bar = bar.MulFloat(m.cfg.InvestBackoff)
-		}
+		k = min(m.fails(h), maxBackoffSteps)
 	}
-	return bar
+	for len(*bars) <= k {
+		*bars = append(*bars, (*bars)[len(*bars)-1].MulFloat(m.cfg.InvestBackoff))
+	}
+	return (*bars)[k]
 }
 
-// buildStructure starts construction of st (and, for indexes, of its
-// missing columns first, per Eq. 14), charging the payer ledger. It
-// reports whether the investment was made; a conservative provider skips
-// builds the payer's account cannot cover.
-func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
+// buildStructure starts construction of the structure behind h (and, for
+// indexes, of its missing columns first, per Eq. 14), charging the payer
+// ledger. It reports whether the investment was made; a conservative
+// provider skips builds the payer's account cannot cover.
+func (m *Market) buildStructure(h structure.Handle, payer *Ledger) bool {
 	ca := m.cfg.Cache
-	price, out, err := m.cfg.Optimizer.BuildPrice(st, ca)
+	st := ca.Structure(h)
+	price, out, err := m.cfg.Optimizer.BuildPrice(h, ca)
 	if err != nil {
 		return false
 	}
@@ -115,19 +160,12 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 	if st.Kind == structure.KindIndex {
 		// Build missing columns first; the index build waits for them.
 		var colsReady = now
-		for _, ref := range st.Index.Refs() {
-			colID := structure.ColumnID(ref)
-			if ca.Has(colID) {
+		for _, colSt := range st.IndexColumns {
+			colH := ca.Intern(colSt)
+			if ca.Has(colH) || ca.Building(colH) {
 				continue
 			}
-			if ca.Building(colID) {
-				continue
-			}
-			colSt, err := structure.ColumnStructure(m.cfg.Model.Catalog(), ref)
-			if err != nil {
-				return false
-			}
-			colPrice, colOut, err := m.cfg.Optimizer.BuildPrice(colSt, ca)
+			colPrice, colOut, err := m.cfg.Optimizer.BuildPrice(colH, ca)
 			if err != nil {
 				return false
 			}
@@ -136,12 +174,12 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 			}
 			payer.credit = payer.credit.Sub(colPrice)
 			payer.invested = payer.invested.Add(colPrice)
-			m.owner[colID] = payer.tenant
+			m.setOwner(colH, payer.tenant, true)
 			m.buildUsage.Add(colOut.Usage)
 			m.emit(obs.Event{
 				Type:      obs.EventInvest,
 				Tenant:    payer.tenant,
-				Structure: string(colID),
+				Structure: string(colSt.ID),
 				Amount:    colPrice,
 				Reason:    "prerequisite column for an index build",
 			})
@@ -166,7 +204,7 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 	payer.credit = payer.credit.Sub(price)
 	payer.invested = payer.invested.Add(price)
 	payer.investCount++
-	m.owner[st.ID] = payer.tenant
+	m.setOwner(h, payer.tenant, true)
 	m.buildUsage.Add(out.Usage)
 	m.emit(obs.Event{
 		Type:      obs.EventInvest,
@@ -187,22 +225,19 @@ func (m *Market) indexSortOnly(st *structure.Structure) (money.Amount, cost.Outc
 	return cost.Price(m.cfg.Model.Schedule(), out.Usage), out, nil
 }
 
-// resolveStructure reconstructs the Structure behind a ledger ID by asking
-// the catalog. Ledger entries always originate from plans, so the ID shape
-// is trusted.
-func (m *Market) resolveStructure(id structure.ID) (*structure.Structure, error) {
-	if st, ok := m.resolved[id]; ok {
-		return st, nil
+// handleOf returns the handle of a structure ID, interning it on first
+// sight. IDs arrive from snapshots, so the shape is not trusted: an ID
+// the catalog cannot resolve is an error and is never interned.
+func (m *Market) handleOf(id structure.ID) (structure.Handle, error) {
+	ca := m.cfg.Cache
+	if h := ca.Lookup(id); h != structure.NoHandle {
+		return h, nil
 	}
 	st, err := ResolveID(m.cfg.Model.Catalog(), id)
 	if err != nil {
-		return nil, err
+		return structure.NoHandle, err
 	}
-	if m.resolved == nil {
-		m.resolved = make(map[structure.ID]*structure.Structure)
-	}
-	m.resolved[id] = st
-	return st, nil
+	return ca.Intern(st), nil
 }
 
 // maintDueOf returns the maintenance arrears a resident entry has accrued
@@ -236,7 +271,7 @@ func (m *Market) sweepFailures() []structure.ID {
 	}
 	ca := m.cfg.Cache
 	type victim struct {
-		id     structure.ID
+		h      structure.Handle
 		due    money.Amount
 		reason string
 	}
@@ -263,29 +298,29 @@ func (m *Market) sweepFailures() []structure.ID {
 			}
 		}
 		if reason != "" {
-			victims = append(victims, victim{id: entry.S.ID, due: due, reason: reason})
+			victims = append(victims, victim{h: entry.H, due: due, reason: reason})
 		}
 	})
 	if len(victims) == 0 {
 		return nil
 	}
-	// Eviction decisions are independent per entry, so the victim SET is
-	// deterministic even though map order is not; sort for stable output.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
+	// ForEach visits residents in ID order, so victims are already
+	// sorted by ID.
 	ids := make([]structure.ID, 0, len(victims))
 	for _, v := range victims {
+		id := ca.Structure(v.h).ID
 		m.emit(obs.Event{
 			Type:      obs.EventEvict,
-			Tenant:    m.owner[v.id],
-			Structure: string(v.id),
+			Tenant:    m.ownerOf(v.h),
+			Structure: string(id),
 			Amount:    v.due,
 			Reason:    v.reason,
 		})
-		ca.Evict(v.id)
-		delete(m.owner, v.id)
-		m.failCount[v.id]++
+		ca.Evict(v.h)
+		m.setOwner(v.h, "", false)
+		m.setFails(v.h, m.fails(v.h)+1)
 		m.failureCount++
-		ids = append(ids, v.id)
+		ids = append(ids, id)
 	}
 	return ids
 }

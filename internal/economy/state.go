@@ -1,7 +1,9 @@
 package economy
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -76,8 +78,8 @@ type State struct {
 	Market   MarketState
 }
 
-// snapshotLedger exports one ledger.
-func snapshotLedger(l *Ledger) LedgerState {
+// snapshotLedger exports one ledger, its entries sorted by ID.
+func (e *Economy) snapshotLedger(l *Ledger) LedgerState {
 	st := LedgerState{
 		Tenant:        l.tenant,
 		Credit:        l.credit,
@@ -93,16 +95,19 @@ func snapshotLedger(l *Ledger) LedgerState {
 		Queries:       l.queries,
 		CacheAnswered: l.cacheAnswered,
 	}
-	for _, id := range l.sortedIDs() {
-		e := l.entries[id]
-		st.Entries = append(st.Entries, RegretEntryState{ID: id, Regret: e.regret, Touched: e.touched})
+	ca := e.cfg.Cache
+	rows := append(e.scratchRows[:0], l.entries...)
+	slices.SortFunc(rows, func(a, b regretEntry) int { return cmp.Compare(ca.Rank(a.h), ca.Rank(b.h)) })
+	e.scratchRows = rows
+	for _, en := range rows {
+		st.Entries = append(st.Entries, RegretEntryState{ID: ca.Structure(en.h).ID, Regret: en.regret, Touched: en.touched})
 	}
 	return st
 }
 
 // restoreLedger rebuilds one ledger with the economy's configured cap.
-func restoreLedger(st LedgerState, cap int) *Ledger {
-	l := newLedger(st.Tenant, 0, cap)
+func (e *Economy) restoreLedger(st LedgerState) (*Ledger, error) {
+	l := newLedger(st.Tenant, 0, e.cfg.LedgerCap)
 	l.credit = st.Credit
 	l.clock = st.Clock
 	l.spend = st.Spend
@@ -116,18 +121,26 @@ func restoreLedger(st LedgerState, cap int) *Ledger {
 	l.queries = st.Queries
 	l.cacheAnswered = st.CacheAnswered
 	for _, es := range st.Entries {
-		l.entries[es.ID] = &regretEntry{regret: es.Regret, touched: es.Touched}
+		h, err := e.market.handleOf(es.ID)
+		if err != nil {
+			return nil, fmt.Errorf("economy: ledger %q: %w", st.Tenant, err)
+		}
+		if l.find(h) >= 0 {
+			return nil, fmt.Errorf("economy: ledger %q: duplicate entry %s", st.Tenant, es.ID)
+		}
+		l.entries = append(l.entries, regretEntry{h: h, regret: es.Regret, touched: es.Touched})
 	}
-	return l
+	return l, nil
 }
 
 // Snapshot exports the economy's state. The cache is not included: the
 // economy shares it with the scheme, and the owner of both (a shard, a
 // simulation) snapshots it alongside.
 func (e *Economy) Snapshot() *State {
+	ca := e.cfg.Cache
 	st := &State{Provider: e.cfg.Provider}
 	if e.pool != nil {
-		pl := snapshotLedger(e.pool)
+		pl := e.snapshotLedger(e.pool)
 		st.Pool = &pl
 	}
 	names := make([]string, 0, len(e.tenants))
@@ -136,18 +149,20 @@ func (e *Economy) Snapshot() *State {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		st.Tenants = append(st.Tenants, snapshotLedger(e.tenants[name]))
+		st.Tenants = append(st.Tenants, e.snapshotLedger(e.tenants[name]))
 	}
-	for id, tenant := range e.market.owner {
-		st.Market.Owners = append(st.Market.Owners, OwnerState{ID: id, Tenant: tenant})
+	m := e.market
+	for _, h := range ca.Ordered() {
+		id := ca.Structure(h).ID
+		if int(h) < len(m.owners) && m.owners[h].set {
+			st.Market.Owners = append(st.Market.Owners, OwnerState{ID: id, Tenant: m.owners[h].tenant})
+		}
+		if n := m.fails(h); n > 0 {
+			st.Market.FailCounts = append(st.Market.FailCounts, FailCountState{ID: id, Count: int64(n)})
+		}
 	}
-	sort.Slice(st.Market.Owners, func(i, j int) bool { return st.Market.Owners[i].ID < st.Market.Owners[j].ID })
-	for id, n := range e.market.failCount {
-		st.Market.FailCounts = append(st.Market.FailCounts, FailCountState{ID: id, Count: int64(n)})
-	}
-	sort.Slice(st.Market.FailCounts, func(i, j int) bool { return st.Market.FailCounts[i].ID < st.Market.FailCounts[j].ID })
-	st.Market.BuildUsage = e.market.buildUsage
-	st.Market.FailureCount = e.market.failureCount
+	st.Market.BuildUsage = m.buildUsage
+	st.Market.FailureCount = m.failureCount
 	return st
 }
 
@@ -155,7 +170,10 @@ func (e *Economy) Snapshot() *State {
 // exported one. The receiving economy must be fresh (straight from New)
 // and configured with the same provider the snapshot was taken under: a
 // provider change redefines whose money is whose, so the snapshot no
-// longer describes this economy.
+// longer describes this economy. Every structure ID the state names — in
+// a ledger, an owner or a failure count — must resolve against the
+// catalog; one that does not fails the restore and leaves the economy
+// fresh.
 func (e *Economy) Restore(st *State) error {
 	if st == nil {
 		return fmt.Errorf("economy: nil state")
@@ -169,21 +187,47 @@ func (e *Economy) Restore(st *State) error {
 	if (st.Pool != nil) != (e.cfg.Provider == ProviderAltruistic) {
 		return fmt.Errorf("economy: snapshot pool/provider mismatch")
 	}
+	tenants := make(map[string]*Ledger, len(st.Tenants))
 	for _, ls := range st.Tenants {
-		if _, dup := e.tenants[ls.Tenant]; dup {
+		if _, dup := tenants[ls.Tenant]; dup {
 			return fmt.Errorf("economy: duplicate tenant %q in snapshot", ls.Tenant)
 		}
-		e.tenants[ls.Tenant] = restoreLedger(ls, e.cfg.LedgerCap)
+		l, err := e.restoreLedger(ls)
+		if err != nil {
+			return err
+		}
+		tenants[ls.Tenant] = l
 	}
+	pool := e.pool
 	if st.Pool != nil {
-		e.pool = restoreLedger(*st.Pool, e.cfg.LedgerCap)
+		var err error
+		if pool, err = e.restoreLedger(*st.Pool); err != nil {
+			return err
+		}
 	}
 	m := e.market
-	for _, os := range st.Market.Owners {
-		m.owner[os.ID] = os.Tenant
+	owners := make([]structure.Handle, len(st.Market.Owners))
+	for i, os := range st.Market.Owners {
+		h, err := m.handleOf(os.ID)
+		if err != nil {
+			return fmt.Errorf("economy: owner of %s: %w", os.ID, err)
+		}
+		owners[i] = h
 	}
-	for _, fs := range st.Market.FailCounts {
-		m.failCount[fs.ID] = int(fs.Count)
+	fails := make([]structure.Handle, len(st.Market.FailCounts))
+	for i, fs := range st.Market.FailCounts {
+		h, err := m.handleOf(fs.ID)
+		if err != nil {
+			return fmt.Errorf("economy: failure count of %s: %w", fs.ID, err)
+		}
+		fails[i] = h
+	}
+	e.tenants, e.pool = tenants, pool
+	for i, h := range owners {
+		m.setOwner(h, st.Market.Owners[i].Tenant, true)
+	}
+	for i, h := range fails {
+		m.setFails(h, int(st.Market.FailCounts[i].Count))
 	}
 	m.buildUsage = st.Market.BuildUsage
 	m.failureCount = st.Market.FailureCount

@@ -8,6 +8,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
@@ -46,17 +47,19 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Optimizer enumerates plans against a cache. It memoizes the immutable
-// structure objects per template (IDs and sizes are on the per-query hot
-// path), so it is NOT safe for concurrent use; each scheme owns one
-// optimizer, matching the single-threaded simulation loop.
+// Optimizer enumerates plans against a cache. It memoizes each
+// template's structures and their handles in the cache it last
+// enumerated against, so it is NOT safe for concurrent use; each scheme
+// owns one optimizer, matching the single-threaded simulation loop.
 type Optimizer struct {
 	cfg Config
 
-	tplColumns map[*workload.Template][]*structure.Structure
-	tplIndexes map[*workload.Template]map[structure.ID]*structure.Structure
-	tplCandIDs map[*workload.Template][]structure.ID
-	cpuNodes   []*structure.Structure // cpuNodes[i] is node ordinal i+2
+	// ca is the cache whose handle table the memos below are keyed by.
+	// Handles mean nothing across caches, so a call against another
+	// cache rebuilds them (see bind).
+	ca   *cache.Cache
+	tpls map[*workload.Template]*tplStructs
+	cpuH []structure.Handle // cpuH[i] is CPU node ordinal i+2
 
 	// scratch backs the slice Enumerate returns, reused across calls to
 	// keep the per-query hot path free of slice growth.
@@ -70,43 +73,33 @@ type Optimizer struct {
 	pool []*plan.Plan
 	used int
 
-	// colIDs caches ref → ID strings: BuildPrice's residency predicate
-	// runs per missing index per query, and structure.ColumnID would
-	// otherwise mint a fresh string each time.
-	colIDs map[catalog.ColumnRef]structure.ID
-
-	// priceMemo memoizes BuildPrice per structure for as long as the
-	// cache's residency epoch stands still. Build prices depend only on
-	// the model (fixed) and on which columns are resident, so between
-	// builds and evictions — i.e. for almost every query — pricing a
-	// missing candidate is a map hit instead of a full Eq. 10/12/14
-	// walk over the catalog.
-	priceMemo  map[structure.ID]memoPrice
-	priceCache *cache.Cache
-	priceEpoch int64
+	// priceMemo memoizes BuildPrice by handle for as long as the cache's
+	// residency epoch stands still. Build prices depend only on the model
+	// (fixed) and on which columns are resident, so between builds and
+	// evictions — i.e. for almost every query — pricing a missing
+	// candidate is a slice read instead of a full Eq. 10/12/14 walk over
+	// the catalog.
+	priceMemo []memoPrice
 }
 
-// memoPrice is one memoized BuildPrice result.
+// tplStructs is one template's structure handles: the columns every
+// cache plan scans and, when indexes are allowed, the index candidates
+// in template order.
+type tplStructs struct {
+	cols []structure.Handle
+	idx  []structure.Handle
+}
+
+// memoPrice is one memoized BuildPrice result, valid while the cache's
+// epoch equals stamp-1 (so the zero value is never valid).
 type memoPrice struct {
+	stamp int64
 	price money.Amount
 	out   cost.Outcome
 }
 
-// columnID returns the cached structure ID for a column reference.
-func (o *Optimizer) columnID(ref catalog.ColumnRef) structure.ID {
-	if id, ok := o.colIDs[ref]; ok {
-		return id
-	}
-	id := structure.ColumnID(ref)
-	if o.colIDs == nil {
-		o.colIDs = make(map[catalog.ColumnRef]structure.ID)
-	}
-	o.colIDs[ref] = id
-	return id
-}
-
 // nextPlan returns a cleared plan from the pool, growing it on first
-// use. Pooled plans keep their Structures set and Missing slice capacity
+// use. Pooled plans keep their Structures and Missing slice capacity
 // across reuse.
 func (o *Optimizer) nextPlan() *plan.Plan {
 	if o.used < len(o.pool) {
@@ -115,7 +108,7 @@ func (o *Optimizer) nextPlan() *plan.Plan {
 		p.Reset()
 		return p
 	}
-	p := &plan.Plan{Structures: structure.NewSet()}
+	p := &plan.Plan{}
 	o.pool = append(o.pool, p)
 	o.used++
 	return p
@@ -126,55 +119,53 @@ func New(cfg Config) (*Optimizer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o := &Optimizer{
-		cfg:        cfg,
-		tplColumns: make(map[*workload.Template][]*structure.Structure),
-		tplIndexes: make(map[*workload.Template]map[structure.ID]*structure.Structure),
-		tplCandIDs: make(map[*workload.Template][]structure.ID),
-	}
-	for n := 2; n <= cfg.Model.Tunables().MaxNodes; n++ {
-		o.cpuNodes = append(o.cpuNodes, structure.CPUNode(n))
-	}
-	return o, nil
+	return &Optimizer{
+		cfg:  cfg,
+		tpls: make(map[*workload.Template]*tplStructs),
+	}, nil
 }
 
-// columnsFor returns the memoized column structures of a template.
-func (o *Optimizer) columnsFor(tpl *workload.Template) ([]*structure.Structure, error) {
-	if cols, ok := o.tplColumns[tpl]; ok {
-		return cols, nil
+// bind points the handle memos at ca, rebuilding them when the cache
+// changed since the last call.
+func (o *Optimizer) bind(ca *cache.Cache) {
+	if o.ca == ca {
+		return
 	}
-	cols := make([]*structure.Structure, 0, len(tpl.Columns))
+	o.ca = ca
+	clear(o.tpls)
+	o.cpuH = o.cpuH[:0]
+	for n := 2; n <= o.cfg.Model.Tunables().MaxNodes; n++ {
+		o.cpuH = append(o.cpuH, ca.Intern(structure.CPUNode(n)))
+	}
+	o.priceMemo = o.priceMemo[:0]
+}
+
+// structsFor returns the memoized structure handles of a template,
+// interning its structures in the bound cache on first sight.
+func (o *Optimizer) structsFor(tpl *workload.Template) (*tplStructs, error) {
+	if ts, ok := o.tpls[tpl]; ok {
+		return ts, nil
+	}
+	cat := o.cfg.Model.Catalog()
+	ts := &tplStructs{}
 	for _, ref := range tpl.Columns {
-		st, err := structure.ColumnStructure(o.cfg.Model.Catalog(), ref)
+		st, err := structure.ColumnStructure(cat, ref)
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, st)
+		ts.cols = append(ts.cols, o.ca.Intern(st))
 	}
-	o.tplColumns[tpl] = cols
-	return cols, nil
-}
-
-// indexFor returns the memoized index structure of a template candidate.
-func (o *Optimizer) indexFor(tpl *workload.Template, id structure.ID) (*structure.Structure, error) {
-	byID, ok := o.tplIndexes[tpl]
-	if !ok {
-		byID = make(map[structure.ID]*structure.Structure, len(tpl.IndexCandidates))
-		o.tplIndexes[tpl] = byID
+	if o.cfg.AllowIndexes {
+		for _, def := range tpl.IndexCandidates {
+			st, err := structure.IndexStructure(cat, def)
+			if err != nil {
+				return nil, err
+			}
+			ts.idx = append(ts.idx, o.ca.Intern(st))
+		}
 	}
-	if st, ok := byID[id]; ok {
-		return st, nil
-	}
-	def, ok := o.indexDefFor(tpl, id)
-	if !ok {
-		return nil, fmt.Errorf("optimizer: index %s not a candidate of %s", id, tpl.Name)
-	}
-	st, err := structure.IndexStructure(o.cfg.Model.Catalog(), def)
-	if err != nil {
-		return nil, err
-	}
-	byID[id] = st
-	return st, nil
+	o.tpls[tpl] = ts
+	return ts, nil
 }
 
 // Enumerate produces the priced plan set PQ for the query given the current
@@ -184,7 +175,7 @@ func (o *Optimizer) indexFor(tpl *workload.Template, id structure.ID) (*structur
 // Aliasing contract: the returned slice AND the *Plan values it holds
 // are owned by the optimizer — the slice is backed by a per-optimizer
 // scratch buffer and the plans come from a pool that the next Enumerate
-// call resets and reuses. Everything (including the Structures sets and
+// call resets and reuses. Everything (including the Structures and
 // Missing slices inside each plan) is only valid until the next
 // Enumerate call; callers that outlive one query's handling must deep-
 // copy what they keep. This holds for the SkylineOnly path too: Skyline
@@ -193,6 +184,7 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 	if q == nil || ca == nil {
 		return nil, fmt.Errorf("optimizer: query and cache are required")
 	}
+	o.bind(ca)
 	o.used = 0
 	plans := o.scratch[:0]
 
@@ -210,21 +202,24 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 		maxNodes = 1
 	}
 
+	ts, err := o.structsFor(q.Template)
+	if err != nil {
+		return nil, err
+	}
+	idx := pickIndex(ts, ca)
 	for nodes := 1; nodes <= maxNodes; nodes++ {
-		p, err := o.cachePlan(q, ca, false, structure.ID(""), nodes)
+		p, err := o.cachePlan(q, ca, ts, -1, nodes)
 		if err != nil {
 			return nil, err
 		}
 		plans = append(plans, p)
 
-		if o.cfg.AllowIndexes {
-			if idxID, ok := o.pickIndex(q, ca); ok {
-				ip, err := o.cachePlan(q, ca, true, idxID, nodes)
-				if err != nil {
-					return nil, err
-				}
-				plans = append(plans, ip)
+		if idx >= 0 {
+			ip, err := o.cachePlan(q, ca, ts, idx, nodes)
+			if err != nil {
+				return nil, err
 			}
+			plans = append(plans, ip)
 		}
 	}
 
@@ -239,27 +234,19 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 
 // pickIndex chooses the index this query's plans would use: a resident
 // matching candidate if one exists (cheapest to use), otherwise the first
-// candidate in template order (the one regret should accrue to). Reports
-// false when the template has no candidates.
-func (o *Optimizer) pickIndex(q *workload.Query, ca *cache.Cache) (structure.ID, bool) {
-	tpl := q.Template
-	if len(tpl.IndexCandidates) == 0 {
-		return "", false
+// candidate in template order (the one regret should accrue to). It
+// returns the candidate's position, or -1 when the template has none (or
+// indexes are off).
+func pickIndex(ts *tplStructs, ca *cache.Cache) int {
+	if len(ts.idx) == 0 {
+		return -1
 	}
-	ids, ok := o.tplCandIDs[tpl]
-	if !ok {
-		ids = make([]structure.ID, len(tpl.IndexCandidates))
-		for i, def := range tpl.IndexCandidates {
-			ids[i] = structure.IndexID(def)
-		}
-		o.tplCandIDs[tpl] = ids
-	}
-	for _, id := range ids {
-		if ca.Has(id) {
-			return id, true
+	for k, h := range ts.idx {
+		if ca.Has(h) {
+			return k
 		}
 	}
-	return ids[0], true
+	return 0
 }
 
 // backendPlan prices Eq. 9 execution. It uses no cache structures.
@@ -277,9 +264,11 @@ func (o *Optimizer) backendPlan(q *workload.Query) (*plan.Plan, error) {
 	return p, nil
 }
 
-// cachePlan builds and prices one cache-resident plan variant.
-func (o *Optimizer) cachePlan(q *workload.Query, ca *cache.Cache, useIndex bool, idxID structure.ID, nodes int) (*plan.Plan, error) {
+// cachePlan builds and prices one cache-resident plan variant, probing
+// the template's idx-th index candidate (none when idx < 0).
+func (o *Optimizer) cachePlan(q *workload.Query, ca *cache.Cache, ts *tplStructs, idx int, nodes int) (*plan.Plan, error) {
 	m := o.cfg.Model
+	useIndex := idx >= 0
 	out, err := m.CacheExec(q, useIndex, nodes)
 	if err != nil {
 		return nil, err
@@ -288,32 +277,24 @@ func (o *Optimizer) cachePlan(q *workload.Query, ca *cache.Cache, useIndex bool,
 	p.Query = q
 	p.Location = plan.Cache
 	p.UsesIndex = useIndex
-	p.Index = idxID
 	p.Nodes = nodes
 	p.Outcome = out
 	p.ExecPrice = cost.Price(m.Schedule(), out.Usage)
 
 	// Column structures: all template columns must be resident.
-	cols, err := o.columnsFor(q.Template)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range cols {
-		o.addStructure(p, ca, st)
+	for _, h := range ts.cols {
+		o.addStructure(p, ca, h)
 	}
 
 	// The index structure.
 	if useIndex {
-		st, err := o.indexFor(q.Template, idxID)
-		if err != nil {
-			return nil, err
-		}
-		o.addStructure(p, ca, st)
+		p.Index = ca.Structure(ts.idx[idx]).ID
+		o.addStructure(p, ca, ts.idx[idx])
 	}
 
 	// Extra CPU nodes.
 	for n := 2; n <= nodes; n++ {
-		o.addStructure(p, ca, o.cpuNodes[n-2])
+		o.addStructure(p, ca, o.cpuH[n-2])
 	}
 
 	// Price the missing structures' amortized build shares.
@@ -326,16 +307,17 @@ func (o *Optimizer) cachePlan(q *workload.Query, ca *cache.Cache, useIndex bool,
 // addStructure registers a structure on the plan, accumulating amortization
 // and maintenance arrears for resident structures and recording missing
 // ones.
-func (o *Optimizer) addStructure(p *plan.Plan, ca *cache.Cache, st *structure.Structure) {
-	if !p.Structures.Add(st) {
+func (o *Optimizer) addStructure(p *plan.Plan, ca *cache.Cache, h structure.Handle) {
+	if slices.Contains(p.Structures, h) {
 		return
 	}
-	if e, ok := ca.Get(st.ID); ok {
+	p.Structures = append(p.Structures, h)
+	if e, ok := ca.Get(h); ok {
 		p.AmortPrice = p.AmortPrice.Add(cache.AmortShare(e, o.cfg.AmortN))
 		p.MaintPrice = p.MaintPrice.Add(o.maintDue(ca, e))
 		return
 	}
-	p.Missing = append(p.Missing, st.ID)
+	p.Missing = append(p.Missing, h)
 }
 
 // maintDue prices the maintenance arrears of a resident entry at the
@@ -350,9 +332,8 @@ func (o *Optimizer) maintDue(ca *cache.Cache, e *cache.Entry) money.Amount {
 // structure (Eq. 6–7 applied to prospective inventory: the first of the n
 // amortizing queries would pay Build/n).
 func (o *Optimizer) priceMissing(p *plan.Plan, ca *cache.Cache) error {
-	for _, id := range p.Missing {
-		st, _ := p.Structures.Get(id)
-		price, _, err := o.BuildPrice(st, ca)
+	for _, h := range p.Missing {
+		price, _, err := o.BuildPrice(h, ca)
 		if err != nil {
 			return err
 		}
@@ -361,17 +342,19 @@ func (o *Optimizer) priceMissing(p *plan.Plan, ca *cache.Cache) error {
 	return nil
 }
 
-// BuildPrice returns the price and the build duration of constructing a
-// structure now, under the optimizer's model and the current cache state
-// (Eq. 10, 12, 14).
-func (o *Optimizer) BuildPrice(st *structure.Structure, ca *cache.Cache) (money.Amount, cost.Outcome, error) {
-	if o.priceCache != ca || o.priceEpoch != ca.Epoch() {
-		clear(o.priceMemo)
-		o.priceCache, o.priceEpoch = ca, ca.Epoch()
+// BuildPrice returns the price and the build duration of constructing the
+// structure behind handle h now, under the optimizer's model and the
+// current cache state (Eq. 10, 12, 14).
+func (o *Optimizer) BuildPrice(h structure.Handle, ca *cache.Cache) (money.Amount, cost.Outcome, error) {
+	o.bind(ca)
+	if int(h) >= len(o.priceMemo) {
+		o.priceMemo = append(o.priceMemo, make([]memoPrice, int(h)+1-len(o.priceMemo))...)
 	}
-	if e, ok := o.priceMemo[st.ID]; ok {
-		return e.price, e.out, nil
+	memo := &o.priceMemo[h]
+	if memo.stamp == ca.Epoch()+1 {
+		return memo.price, memo.out, nil
 	}
+	st := ca.Structure(h)
 	m := o.cfg.Model
 	var out cost.Outcome
 	var err error
@@ -382,7 +365,12 @@ func (o *Optimizer) BuildPrice(st *structure.Structure, ca *cache.Cache) (money.
 		out, err = m.BuildColumn(st.Column)
 	case structure.KindIndex:
 		out, err = m.BuildIndex(st.Index, func(ref catalog.ColumnRef) bool {
-			return ca.Has(o.columnID(ref))
+			for _, col := range st.IndexColumns {
+				if col.Column == ref {
+					return ca.Has(ca.Lookup(col.ID))
+				}
+			}
+			return false
 		})
 	default:
 		err = fmt.Errorf("optimizer: unknown structure kind %v", st.Kind)
@@ -391,21 +379,8 @@ func (o *Optimizer) BuildPrice(st *structure.Structure, ca *cache.Cache) (money.
 		return 0, cost.Outcome{}, err
 	}
 	price := cost.Price(m.Schedule(), out.Usage)
-	if o.priceMemo == nil {
-		o.priceMemo = make(map[structure.ID]memoPrice)
-	}
-	o.priceMemo[st.ID] = memoPrice{price: price, out: out}
+	*memo = memoPrice{stamp: ca.Epoch() + 1, price: price, out: out}
 	return price, out, nil
-}
-
-// indexDefFor resolves the candidate IndexDef with the given structure ID.
-func (o *Optimizer) indexDefFor(tpl *workload.Template, id structure.ID) (catalog.IndexDef, bool) {
-	for _, def := range tpl.IndexCandidates {
-		if structure.IndexID(def) == id {
-			return def, true
-		}
-	}
-	return catalog.IndexDef{}, false
 }
 
 // Config returns the optimizer configuration.

@@ -13,7 +13,7 @@ import (
 	"repro/internal/workload"
 )
 
-func testSetup(t *testing.T, allowIdx, allowNodes bool) (*Optimizer, *cache.Cache, *cost.Model) {
+func testSetup(t testing.TB, allowIdx, allowNodes bool) (*Optimizer, *cache.Cache, *cost.Model) {
 	t.Helper()
 	m, err := cost.NewModel(catalog.TPCH(10), pricing.EC22008(), cost.DefaultTunables())
 	if err != nil {
@@ -136,7 +136,7 @@ func TestAmortizationChargedOnResidentStructures(t *testing.T) {
 	buildPrice := int64(0)
 	for _, ref := range q6(0).Template.Columns {
 		st, _ := structure.ColumnStructure(m.Catalog(), ref)
-		price, _, err := o.BuildPrice(st, ca)
+		price, _, err := o.BuildPrice(ca.Intern(st), ca)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,13 +208,25 @@ func TestPickIndexPrefersResident(t *testing.T) {
 	ca.StartBuild(st, 0, 0)
 	ca.CompleteDue()
 
-	id, ok := o.pickIndex(q, ca)
+	pick := func(ca *cache.Cache) (structure.ID, bool) {
+		o.bind(ca)
+		ts, err := o.structsFor(q.Template)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := pickIndex(ts, ca)
+		if k < 0 {
+			return "", false
+		}
+		return ca.Structure(ts.idx[k]).ID, true
+	}
+	id, ok := pick(ca)
 	if !ok || id != structure.IndexID(def) {
 		t.Errorf("pickIndex = %v, want resident %v", id, structure.IndexID(def))
 	}
 	// Cold cache: first candidate.
 	cold := cache.New(0)
-	id, ok = o.pickIndex(q, cold)
+	id, ok = pick(cold)
 	if !ok || id != structure.IndexID(q.Template.IndexCandidates[0]) {
 		t.Errorf("cold pickIndex = %v", id)
 	}
@@ -239,7 +251,7 @@ func TestBuildPriceKinds(t *testing.T) {
 	o, ca, m := testSetup(t, true, true)
 	// CPU node: boot cost.
 	cpu := structure.CPUNode(2)
-	price, out, err := o.BuildPrice(cpu, ca)
+	price, out, err := o.BuildPrice(ca.Intern(cpu), ca)
 	if err != nil || price != m.Schedule().BootCost() {
 		t.Errorf("cpu build = %v, %v", price, err)
 	}
@@ -248,20 +260,20 @@ func TestBuildPriceKinds(t *testing.T) {
 	}
 	// Column: transfer priced.
 	col, _ := structure.ColumnStructure(m.Catalog(), catalog.Col("lineitem", "l_shipdate"))
-	price, out, err = o.BuildPrice(col, ca)
+	price, out, err = o.BuildPrice(ca.Intern(col), ca)
 	if err != nil || !price.IsPositive() || out.Time <= 0 {
 		t.Errorf("column build = %v, %v, %v", price, out, err)
 	}
 	// Index with no cached columns: dearer than with cached columns.
 	idef := catalog.IndexDef{Table: "lineitem", Columns: []string{"l_shipdate"}}
 	idx, _ := structure.IndexStructure(m.Catalog(), idef)
-	cold, _, err := o.BuildPrice(idx, ca)
+	cold, _, err := o.BuildPrice(ca.Intern(idx), ca)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ca.StartBuild(col, 0, 0)
 	ca.CompleteDue()
-	warm, _, err := o.BuildPrice(idx, ca)
+	warm, _, err := o.BuildPrice(ca.Intern(idx), ca)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +281,7 @@ func TestBuildPriceKinds(t *testing.T) {
 		t.Errorf("index build with cached column (%v) should be cheaper than cold (%v)", warm, cold)
 	}
 	// Unknown kind.
-	if _, _, err := o.BuildPrice(&structure.Structure{Kind: structure.Kind(9)}, ca); err == nil {
+	if _, _, err := o.BuildPrice(ca.Intern(&structure.Structure{ID: "bogus", Kind: structure.Kind(9)}), ca); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
@@ -346,7 +358,7 @@ func TestEnumerateReusesPlanPool(t *testing.T) {
 		if !first[p] {
 			t.Error("second Enumerate allocated a fresh plan instead of reusing the pool")
 		}
-		if p.Query == nil || p.Structures == nil {
+		if p.Query == nil || (p.Location == plan.Cache && len(p.Structures) == 0) {
 			t.Fatal("pooled plan not refilled")
 		}
 	}
@@ -370,4 +382,47 @@ func TestEnumerateSkylineResultIndependentOfScratch(t *testing.T) {
 			t.Error("skyline result was clobbered by the next Enumerate")
 		}
 	}
+}
+
+// TestPlanStructuresDeduplicated pins that a plan lists each structure
+// once, even when a template names a column twice: the duplicate must
+// neither price a second amortized build share nor spread regret over a
+// phantom second copy.
+func TestPlanStructuresDeduplicated(t *testing.T) {
+	o, ca, _ := testSetup(t, true, true)
+	base := workload.PaperTemplates()[3] // Q6
+	tpl := &workload.Template{
+		ID: base.ID, Name: base.Name, SelMin: base.SelMin, SelMax: base.SelMax,
+		IndexSelectivity: base.IndexSelectivity, ResultFraction: base.ResultFraction,
+		Parallelizable: true, IndexCandidates: base.IndexCandidates,
+		Columns: append(append([]catalog.ColumnRef{}, base.Columns...), base.Columns[0]),
+	}
+	plans, err := o.Enumerate(&workload.Query{ID: 1, Template: tpl, Selectivity: 5e-4}, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range plans {
+		if p.Location != plan.Cache {
+			continue
+		}
+		for _, list := range [][]structure.Handle{p.Structures, p.Missing} {
+			seen := map[structure.Handle]bool{}
+			for _, h := range list {
+				if seen[h] {
+					t.Fatalf("%v lists %s twice", p, ca.Structure(h).ID)
+				}
+				seen[h] = true
+			}
+		}
+		if want := len(base.Columns) + btoi(p.UsesIndex) + p.Nodes - 1; len(p.Structures) != want {
+			t.Errorf("%v uses %d structures, want %d", p, len(p.Structures), want)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

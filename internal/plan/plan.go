@@ -43,10 +43,11 @@ type Plan struct {
 	Query *workload.Query
 	// Location of execution.
 	Location Location
-	// Structures the plan employs (cache plans only): the columns it
-	// scans, the index it probes (if any) and the extra CPU nodes it
-	// runs on. Back-end plans use no cache structures.
-	Structures *structure.Set
+	// Structures the plan employs (cache plans only), as handles in the
+	// enumerating cache: the columns it scans, the index it probes (if
+	// any) and the extra CPU nodes it runs on, each once. Back-end plans
+	// use no cache structures.
+	Structures []structure.Handle
 	// UsesIndex reports whether the plan probes an index.
 	UsesIndex bool
 	// Index identifies the index structure when UsesIndex.
@@ -69,23 +70,18 @@ type Plan struct {
 	// price: pricing arrears into selection would make an idle
 	// structure's plans ever more expensive, deadlocking it out of use.
 	MaintPrice money.Amount
-	// Missing lists structures the plan needs that are not yet built.
-	// A plan with len(Missing) > 0 belongs to PQpos — it cannot run
-	// today and is tracked only for regret (§IV-B).
-	Missing []structure.ID
+	// Missing lists the handles of structures the plan needs that are
+	// not yet built. A plan with len(Missing) > 0 belongs to PQpos — it
+	// cannot run today and is tracked only for regret (§IV-B).
+	Missing []structure.Handle
 }
 
 // Reset clears the plan for reuse, keeping the allocated capacity of its
-// Structures set and Missing slice. The optimizer's plan pool calls this
+// Structures and Missing slices. The optimizer's plan pool calls this
 // before handing the object out again; nothing may hold a *Plan across
 // that boundary (see optimizer.Enumerate's aliasing contract).
 func (p *Plan) Reset() {
-	st := p.Structures
-	if st != nil {
-		st.Reset()
-	}
-	missing := p.Missing[:0]
-	*p = Plan{Structures: st, Missing: missing}
+	*p = Plan{Structures: p.Structures[:0], Missing: p.Missing[:0]}
 }
 
 // Price is C(P_Q) = Ce + Ca (Eq. 4): the comparison price used for

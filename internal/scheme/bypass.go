@@ -95,7 +95,7 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 	var missing []structure.ID
 	for _, ref := range q.Template.Columns {
 		id := structure.ColumnID(ref)
-		if !b.ca.Has(id) {
+		if !b.ca.Has(b.ca.Lookup(id)) {
 			missing = append(missing, id)
 		}
 	}
@@ -107,7 +107,7 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 			return Result{}, err
 		}
 		for _, ref := range q.Template.Columns {
-			b.ca.Touch(structure.ColumnID(ref))
+			b.ca.Touch(b.ca.Lookup(structure.ColumnID(ref)))
 		}
 		return Result{
 			ResponseTime: out.Time,
@@ -135,7 +135,7 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 	share := result / int64(len(missing))
 	for _, ref := range q.Template.Columns {
 		id := structure.ColumnID(ref)
-		if b.ca.Has(id) || b.ca.Building(id) {
+		if h := b.ca.Lookup(id); b.ca.Has(h) || b.ca.Building(h) {
 			continue
 		}
 		b.yield[id] += share

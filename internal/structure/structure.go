@@ -1,8 +1,14 @@
 // Package structure defines the physical cache structures the cloud can
 // invest in. §V-C fixes the inventory to three kinds: CPU nodes (N), table
-// columns (T) and indexes (I). Structures are identified by a stable string
-// ID so the economy can key its regret ledger (§IV-C) and the cache its
-// residency state by the same name.
+// columns (T) and indexes (I).
+//
+// A structure has two names. Its ID is the stable string that crosses
+// every boundary — JSON, the wire, snapshots, the journal and traces —
+// and can be resolved back to the structure against the catalog. Its
+// Handle is a dense integer that one cache's handle table (cache.Cache)
+// assigns on first sight; residency, ownership, failure history, price
+// memos and regret entries are slices indexed by it, so the per-query
+// decision path never hashes a string.
 package structure
 
 import (
@@ -43,6 +49,16 @@ func (k Kind) String() string {
 //	idx_lineitem(l_shipdate,...)   an index (catalog.IndexDef.Name)
 type ID string
 
+// Handle is a structure's dense integer name within one cache's handle
+// table (see cache.Cache). Handles are small, stable for the life of the
+// cache, and meaningless across caches; order by ID goes through the
+// table's rank, never through the handle value.
+type Handle int32
+
+// NoHandle names no structure: the result of looking up an ID the table
+// has never interned.
+const NoHandle Handle = -1
+
 // Structure describes one buildable structure. It is immutable once
 // constructed; residency and accounting state live in the cache and the
 // economy respectively.
@@ -54,6 +70,10 @@ type Structure struct {
 	Column catalog.ColumnRef
 	// Index is set for KindIndex.
 	Index catalog.IndexDef
+	// IndexColumns is set for KindIndex: the column structures the index
+	// is built from, in Index.Columns order. Eq. 14 builds the missing
+	// ones first.
+	IndexColumns []*Structure
 	// NodeOrdinal is set for KindCPUNode: 2 for the first extra node,
 	// 3 for the second, and so on (node 1 is the always-on coordinator
 	// worker and is never a structure).
@@ -95,11 +115,18 @@ func IndexStructure(c *catalog.Catalog, def catalog.IndexDef) (*Structure, error
 	if err != nil {
 		return nil, err
 	}
+	cols := make([]*Structure, len(def.Columns))
+	for i, name := range def.Columns {
+		if cols[i], err = ColumnStructure(c, catalog.Col(def.Table, name)); err != nil {
+			return nil, err
+		}
+	}
 	return &Structure{
-		ID:    ID(def.Name()),
-		Kind:  KindIndex,
-		Index: def,
-		Bytes: bytes,
+		ID:           ID(def.Name()),
+		Kind:         KindIndex,
+		Index:        def,
+		IndexColumns: cols,
+		Bytes:        bytes,
 	}, nil
 }
 
@@ -128,79 +155,4 @@ func KindOf(id ID) Kind {
 // String implements fmt.Stringer.
 func (s *Structure) String() string {
 	return fmt.Sprintf("%s(%s, %dB)", s.Kind, s.ID, s.Bytes)
-}
-
-// Set is an ordered collection of unique structures, used for a plan's
-// structure list. Order is insertion order; uniqueness is by ID. Plan
-// sets hold a handful of entries (the scanned columns, at most one index
-// and one CPU-node structure), so membership is a linear scan over the
-// item slice — no side index, which keeps an empty Set allocation-free
-// and lets pooled plans reuse one via Reset.
-type Set struct {
-	items []*Structure
-}
-
-// NewSet builds a set from the given structures, dropping duplicates.
-func NewSet(items ...*Structure) *Set {
-	s := &Set{}
-	for _, it := range items {
-		s.Add(it)
-	}
-	return s
-}
-
-// Add inserts a structure if its ID is not already present. It reports
-// whether the structure was added.
-func (s *Set) Add(st *Structure) bool {
-	for _, it := range s.items {
-		if it.ID == st.ID {
-			return false
-		}
-	}
-	s.items = append(s.items, st)
-	return true
-}
-
-// Contains reports whether the ID is in the set.
-func (s *Set) Contains(id ID) bool {
-	for _, it := range s.items {
-		if it.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Get returns the structure with the given ID, if present.
-func (s *Set) Get(id ID) (*Structure, bool) {
-	for _, it := range s.items {
-		if it.ID == id {
-			return it, true
-		}
-	}
-	return nil, false
-}
-
-// Reset empties the set, retaining the item slice's capacity for reuse.
-func (s *Set) Reset() {
-	for i := range s.items {
-		s.items[i] = nil
-	}
-	s.items = s.items[:0]
-}
-
-// Len returns the number of structures.
-func (s *Set) Len() int { return len(s.items) }
-
-// Items returns the structures in insertion order. The returned slice is
-// shared; callers must not mutate it.
-func (s *Set) Items() []*Structure { return s.items }
-
-// TotalBytes sums the disk footprint of all structures in the set.
-func (s *Set) TotalBytes() int64 {
-	var total int64
-	for _, it := range s.items {
-		total += it.Bytes
-	}
-	return total
 }

@@ -53,6 +53,10 @@ func TestIndexStructure(t *testing.T) {
 	if s.Kind != KindIndex || s.ID != ID(def.Name()) {
 		t.Errorf("structure = %+v", s)
 	}
+	if len(s.IndexColumns) != 2 || s.IndexColumns[0].ID != ColumnID(catalog.Col("lineitem", "l_shipdate")) ||
+		s.IndexColumns[1].ID != ColumnID(catalog.Col("lineitem", "l_partkey")) {
+		t.Errorf("IndexColumns = %v, want the key columns in definition order", s.IndexColumns)
+	}
 	want, _ := c.IndexBytes(def)
 	if s.Bytes != want || s.Bytes <= 0 {
 		t.Errorf("Bytes = %d, want %d", s.Bytes, want)
@@ -87,54 +91,6 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should still render")
-	}
-}
-
-func TestSetBasics(t *testing.T) {
-	c := testCatalog(t)
-	col, _ := ColumnStructure(c, catalog.Col("lineitem", "l_quantity"))
-	cpu := CPUNode(2)
-
-	s := NewSet(col, cpu, col) // duplicate dropped
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
-	if !s.Contains(col.ID) || !s.Contains(cpu.ID) {
-		t.Error("Contains wrong")
-	}
-	if s.Contains("nope") {
-		t.Error("phantom member")
-	}
-	got, ok := s.Get(col.ID)
-	if !ok || got != col {
-		t.Error("Get wrong")
-	}
-	if _, ok := s.Get("nope"); ok {
-		t.Error("Get phantom")
-	}
-	// Insertion order preserved.
-	items := s.Items()
-	if items[0] != col || items[1] != cpu {
-		t.Error("order not preserved")
-	}
-	if s.TotalBytes() != col.Bytes {
-		t.Errorf("TotalBytes = %d, want %d (cpu nodes are diskless)", s.TotalBytes(), col.Bytes)
-	}
-}
-
-func TestSetZeroValueUsable(t *testing.T) {
-	var s Set
-	if s.Len() != 0 || s.Contains("x") || s.TotalBytes() != 0 {
-		t.Error("zero Set misbehaves")
-	}
-	if !s.Add(CPUNode(2)) {
-		t.Error("Add to zero Set failed")
-	}
-	if s.Len() != 1 {
-		t.Error("Add did not register")
-	}
-	if s.Add(CPUNode(2)) {
-		t.Error("duplicate Add reported true")
 	}
 }
 
