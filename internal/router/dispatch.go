@@ -131,9 +131,7 @@ func (r *Router) dispatchLoop(b *backend) {
 				err = errors.New("router: backend reply count mismatch")
 			}
 			if err != nil {
-				if errors.Is(err, wire.ErrClientClosed) {
-					b.pool.MarkDead(cl)
-				}
+				markDeadIfClosed(b, cl, err)
 				failGroups(groups, err)
 				return
 			}

@@ -256,12 +256,12 @@ func (r *Router) probeState(b *backend) ([]bool, []server.ShardStats, error) {
 	defer cancel()
 	own, err := cl.Owners(ctx)
 	if err != nil {
-		b.pool.MarkDead(cl)
+		markDeadIfClosed(b, cl, err)
 		return nil, nil, err
 	}
 	st, err := cl.Stats(ctx)
 	if err != nil {
-		b.pool.MarkDead(cl)
+		markDeadIfClosed(b, cl, err)
 		return nil, nil, err
 	}
 	return own, st.PerShard, nil
@@ -289,10 +289,19 @@ func (r *Router) probeOwners(b *backend) ([]bool, error) {
 	defer cancel()
 	own, err := cl.Owners(ctx)
 	if err != nil {
-		b.pool.MarkDead(cl)
+		markDeadIfClosed(b, cl, err)
 		return nil, err
 	}
 	return own, nil
+}
+
+// markDeadIfClosed drops a backend client only when its connection is
+// gone. A probe timeout on a slow but healthy connection keeps it: the
+// pool would otherwise close a connection other flights still use.
+func markDeadIfClosed(b *backend, cl *wire.MuxClient, err error) {
+	if errors.Is(err, wire.ErrClientClosed) {
+		b.pool.MarkDead(cl)
+	}
 }
 
 // Shards returns the cluster-wide shard count.

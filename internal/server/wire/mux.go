@@ -190,15 +190,7 @@ func (s *StatsSub) deliver(st server.Stats) {
 // flushes. The zero value is not usable; DialMux or NewMuxClient.
 type MuxClient struct {
 	conn net.Conn
-	bw   *bufio.Writer
-
-	// Writer queue, same shape as the server side: senders never block,
-	// the writer drains whole bursts into one flush.
-	qmu      sync.Mutex
-	cond     *sync.Cond
-	queue    [][]byte
-	stopping bool
-	wdone    chan struct{}
+	w    *frameWriter // counts Submit calls awaiting a reply as outstanding
 
 	mu      sync.Mutex
 	calls   map[uint64]*muxCall
@@ -232,23 +224,21 @@ func DialMux(addr string) (*MuxClient, error) {
 func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	c := &MuxClient{
 		conn:   conn,
-		bw:     bufio.NewWriterSize(conn, 64<<10),
+		w:      newFrameWriter(conn, 1),
 		calls:  make(map[uint64]*muxCall),
 		subs:   make(map[uint64]*StatsSub),
 		tcalls: make(map[uint64]chan traceResult),
 		esubs:  make(map[uint64]*EventsSub),
 		acalls: make(map[uint64]chan adminResult),
-		wdone:  make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.qmu)
 
 	// The hello exchange is the one lockstep moment: write ours, read
 	// theirs, before any concurrency exists.
-	if err := WriteFrame(c.bw, AppendHello(nil, ProtocolV2)); err != nil {
+	if err := WriteFrame(c.w.bw, AppendHello(nil, ProtocolV2)); err != nil {
 		return nil, err
 	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.w.bw.Flush(); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -271,7 +261,7 @@ func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 		return nil, fmt.Errorf("wire: server protocol version %d < %d", version, ProtocolV2)
 	}
 
-	go c.writeLoop()
+	go c.w.loop()
 	go c.readLoop(br)
 	return c, nil
 }
@@ -282,52 +272,6 @@ func (c *MuxClient) Close() error {
 	err := c.conn.Close()
 	<-c.done // reader observed the close and failed everything in flight
 	return err
-}
-
-// send enqueues one encoded payload for the writer goroutine.
-func (c *MuxClient) send(payload []byte) {
-	c.qmu.Lock()
-	c.queue = append(c.queue, payload)
-	c.qmu.Unlock()
-	c.cond.Signal()
-}
-
-// writeLoop mirrors the server's: drain bursts, one flush per burst, go
-// quiet (but keep consuming) once the connection dies. A write error
-// also closes the conn so the read loop fails every in-flight call —
-// a silently dropped frame would leave its caller waiting forever.
-func (c *MuxClient) writeLoop() {
-	defer close(c.wdone)
-	var dead bool
-	for {
-		c.qmu.Lock()
-		for len(c.queue) == 0 && !c.stopping {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.stopping {
-			c.qmu.Unlock()
-			return
-		}
-		batch := c.queue
-		c.queue = nil
-		c.qmu.Unlock()
-
-		if dead {
-			continue
-		}
-		for _, p := range batch {
-			if err := WriteFrame(c.bw, p); err != nil {
-				dead = true
-				break
-			}
-		}
-		if !dead && c.bw.Flush() != nil {
-			dead = true
-		}
-		if dead {
-			c.conn.Close()
-		}
-	}
 }
 
 // readLoop demultiplexes inbound frames to their tags until the
@@ -530,10 +474,7 @@ func (c *MuxClient) readLoop(br *bufio.Reader) {
 	for _, acall := range acalls {
 		acall <- adminResult{err: fmt.Errorf("%w: %v", ErrClientClosed, fatal)}
 	}
-	c.qmu.Lock()
-	c.stopping = true
-	c.qmu.Unlock()
-	c.cond.Signal()
+	c.w.stop()
 	close(c.done)
 }
 
@@ -564,14 +505,16 @@ func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := AppendTaggedQueryBatch(nil, tag, qs)
+	payload, err := AppendTaggedQueryBatch(c.w.getBuf(), tag, qs)
 	if err != nil {
 		c.mu.Lock()
 		delete(c.calls, tag)
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.send(payload)
+	c.w.outstanding.Add(1)
+	defer c.w.outstanding.Add(-1)
+	c.w.send(payload)
 	select {
 	case res := <-call.ch:
 		return res.replies, res.err
@@ -595,7 +538,7 @@ func (c *MuxClient) SubscribeStats(interval float64) (*StatsSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.send(AppendStatsSubscribe(nil, tag, interval))
+	c.w.send(AppendStatsSubscribe(c.w.getBuf(), tag, interval))
 	return sub, nil
 }
 
@@ -610,7 +553,7 @@ func (c *MuxClient) Stats(ctx context.Context) (server.Stats, error) {
 		return server.Stats{}, err
 	}
 	// Interval 0: the server pushes exactly once and keeps no ticker.
-	c.send(AppendStatsSubscribe(nil, tag, 0))
+	c.w.send(AppendStatsSubscribe(c.w.getBuf(), tag, 0))
 	defer func() {
 		c.mu.Lock()
 		delete(c.subs, tag)
@@ -639,7 +582,7 @@ func (c *MuxClient) sendUnsubscribe(tag uint64) error {
 	if err != nil {
 		return nil // connection already dead; nothing to tell
 	}
-	c.send(AppendStatsUnsubscribe(nil, tag))
+	c.w.send(AppendStatsUnsubscribe(c.w.getBuf(), tag))
 	return nil
 }
 
@@ -656,7 +599,7 @@ func (c *MuxClient) Trace(ctx context.Context, tenant, template string, n int) (
 	if n < 0 {
 		n = 0
 	}
-	c.send(AppendTraceRequest(nil, tag, tenant, template, uint64(n)))
+	c.w.send(AppendTraceRequest(c.w.getBuf(), tag, tenant, template, uint64(n)))
 	select {
 	case res := <-ch:
 		return res.view, res.err
@@ -681,7 +624,7 @@ func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (serv
 	if n < 0 {
 		n = 0
 	}
-	c.send(AppendEventsRequest(nil, tag, typ, tenant, uint64(n)))
+	c.w.send(AppendEventsRequest(c.w.getBuf(), tag, typ, tenant, uint64(n)))
 	defer func() {
 		c.mu.Lock()
 		delete(c.esubs, tag)
@@ -712,7 +655,7 @@ func (c *MuxClient) SubscribeEvents(interval float64) (*EventsSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.send(AppendEventsSubscribe(nil, tag, interval))
+	c.w.send(AppendEventsSubscribe(c.w.getBuf(), tag, interval))
 	return sub, nil
 }
 
@@ -725,7 +668,7 @@ func (c *MuxClient) sendEventsUnsubscribe(tag uint64) error {
 	if err != nil {
 		return nil // connection already dead; nothing to tell
 	}
-	c.send(AppendEventsUnsubscribe(nil, tag))
+	c.w.send(AppendEventsUnsubscribe(c.w.getBuf(), tag))
 	return nil
 }
 
@@ -743,7 +686,7 @@ func (c *MuxClient) adminCall(ctx context.Context, build func(tag uint64) []byte
 	if err != nil {
 		return adminResult{}, err
 	}
-	c.send(build(tag))
+	c.w.send(build(tag))
 	select {
 	case res := <-ch:
 		return res, res.err
@@ -760,7 +703,7 @@ func (c *MuxClient) adminCall(ctx context.Context, build func(tag uint64) []byte
 // bootstrap move for slots another backend owns.
 func (c *MuxClient) FreezeShard(ctx context.Context, shard int) error {
 	_, err := c.adminCall(ctx, func(tag uint64) []byte {
-		return AppendShardFreeze(nil, tag, shard)
+		return AppendShardFreeze(c.w.getBuf(), tag, shard)
 	})
 	return err
 }
@@ -770,7 +713,7 @@ func (c *MuxClient) FreezeShard(ctx context.Context, shard int) error {
 // keeps an empty, disowned slot.
 func (c *MuxClient) ExtractShard(ctx context.Context, shard int) ([]byte, error) {
 	res, err := c.adminCall(ctx, func(tag uint64) []byte {
-		return AppendShardExtract(nil, tag, shard)
+		return AppendShardExtract(c.w.getBuf(), tag, shard)
 	})
 	if err != nil {
 		return nil, err
@@ -786,7 +729,7 @@ func (c *MuxClient) ExtractShard(ctx context.Context, shard int) ([]byte, error)
 // engine validates the packet's fingerprint before touching anything.
 func (c *MuxClient) InstallShard(ctx context.Context, shard int, packet []byte) error {
 	res, err := c.adminCall(ctx, func(tag uint64) []byte {
-		return AppendShardInstall(nil, tag, shard, packet)
+		return AppendShardInstall(c.w.getBuf(), tag, shard, packet)
 	})
 	if err != nil {
 		return err
@@ -802,7 +745,7 @@ func (c *MuxClient) InstallShard(ctx context.Context, shard int, packet []byte) 
 // routing table with this.
 func (c *MuxClient) Owners(ctx context.Context) ([]bool, error) {
 	res, err := c.adminCall(ctx, func(tag uint64) []byte {
-		return AppendOwnersRequest(nil, tag)
+		return AppendOwnersRequest(c.w.getBuf(), tag)
 	})
 	if err != nil {
 		return nil, err

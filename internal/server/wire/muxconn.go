@@ -24,32 +24,16 @@ const minStatsInterval = time.Millisecond
 // arrive on shard goroutines, stats pushes on subscription goroutines),
 // and the bookkeeping tying them together.
 type muxConn struct {
-	eng  Engine
-	conn net.Conn
-	bw   *bufio.Writer
-
-	// qmu guards the outbound frame queue; cond wakes the writer. send
-	// never blocks, so shard-loop completion callbacks never stall on a
-	// slow client — the queue is bounded in practice by the client's own
-	// in-flight window.
-	qmu      sync.Mutex
-	cond     *sync.Cond
-	queue    [][]byte
-	stopping bool
-
-	// free recycles spent payload buffers back to reply encoders, and
-	// spare recycles the queue's own backing array across writer drains,
-	// so a steady pipelined load enqueues frames without allocating.
-	// Both guarded by qmu.
-	free  [][]byte
-	spare [][]byte
+	eng Engine
+	w   *frameWriter // counts batches awaiting their reply as outstanding
 
 	// inflight counts batches handed to SubmitBatchAsync whose
 	// completions have not yet enqueued their reply frame; connection
 	// teardown waits for it so no completion touches a freed writer.
 	inflight sync.WaitGroup
 
-	// subs maps subscription tags to their stop channels.
+	// subs maps subscription tags to their stop channels; smu guards it.
+	smu    sync.Mutex
 	subs   map[uint64]chan struct{}
 	subsWG sync.WaitGroup
 }
@@ -73,18 +57,11 @@ func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 
 	c := &muxConn{
 		eng:  eng,
-		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
+		w:    newFrameWriter(conn, 0),
 		subs: make(map[uint64]chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.qmu)
-
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		c.writeLoop()
-	}()
-	c.send(AppendHello(nil, ProtocolV2))
+	go c.w.loop()
+	c.w.send(AppendHello(c.w.getBuf(), ProtocolV2))
 
 	c.readLoop(br)
 
@@ -95,105 +72,9 @@ func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 	c.stopAllSubs()
 	c.subsWG.Wait()
 	c.inflight.Wait()
-	c.qmu.Lock()
-	c.stopping = true
-	c.qmu.Unlock()
-	c.cond.Signal()
-	<-writerDone
+	c.w.stop()
+	<-c.w.done
 	conn.Close()
-}
-
-// send enqueues one encoded payload for the writer goroutine. Never
-// blocks; safe from any goroutine.
-func (c *muxConn) send(payload []byte) {
-	c.qmu.Lock()
-	if c.queue == nil && c.spare != nil {
-		c.queue, c.spare = c.spare, nil
-	}
-	c.queue = append(c.queue, payload)
-	c.qmu.Unlock()
-	c.cond.Signal()
-}
-
-// maxFreeBufs bounds the recycled-payload free list; maxFreeBufCap keeps
-// one oversized frame (a fat stats push, a shard-state packet) from
-// pinning megabytes in the pool.
-const (
-	maxFreeBufs   = 64
-	maxFreeBufCap = 1 << 20
-)
-
-// getBuf returns a recycled payload buffer (length 0) for an encoder to
-// append into, or nil when the free list is empty — append grows nil
-// fine. The buffer returns to the free list after the writer sends it.
-func (c *muxConn) getBuf() []byte {
-	c.qmu.Lock()
-	var b []byte
-	if n := len(c.free); n > 0 {
-		b = c.free[n-1][:0]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	}
-	c.qmu.Unlock()
-	return b
-}
-
-// recycle returns a drained queue batch to the pools: the payload
-// buffers feed getBuf, the backing array becomes the next queue slice.
-func (c *muxConn) recycle(batch [][]byte) {
-	c.qmu.Lock()
-	for i, p := range batch {
-		if len(c.free) < maxFreeBufs && cap(p) <= maxFreeBufCap {
-			c.free = append(c.free, p[:0])
-		}
-		batch[i] = nil
-	}
-	if c.spare == nil {
-		c.spare = batch[:0]
-	}
-	c.qmu.Unlock()
-}
-
-// writeLoop serializes all outbound frames. Each wakeup drains the whole
-// queue into the buffered writer and flushes once — under pipelining
-// pressure many reply frames share one syscall. A write error marks the
-// connection dead AND closes it: a dropped frame poisons the multiplexed
-// stream (its tag would wait forever on the client), so the read loop
-// must observe the close and tear the connection down rather than leave
-// the peer hanging. The loop keeps draining (and discarding) so senders
-// are never stuck, and exits when the conn is torn down.
-func (c *muxConn) writeLoop() {
-	var dead bool
-	for {
-		c.qmu.Lock()
-		for len(c.queue) == 0 && !c.stopping {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.stopping {
-			c.qmu.Unlock()
-			return
-		}
-		batch := c.queue
-		c.queue = nil
-		c.qmu.Unlock()
-
-		if dead {
-			continue
-		}
-		for _, p := range batch {
-			if err := WriteFrame(c.bw, p); err != nil {
-				dead = true
-				break
-			}
-		}
-		if !dead && c.bw.Flush() != nil {
-			dead = true
-		}
-		if dead {
-			c.conn.Close()
-		}
-		c.recycle(batch)
-	}
 }
 
 // readLoop accepts frames until the client goes away or commits an
@@ -225,12 +106,12 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 			// it; only an unparseable tag kills the connection.
 			tag, rest, terr := consumeUvarint(payload[1:])
 			if terr != nil {
-				c.send(appendErrorPayload(nil, terr.Error()))
+				c.w.send(appendErrorPayload(nil, terr.Error()))
 				return
 			}
 			queries, err = consumeQueryItemsInterned(rest, queries, &names)
 			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 				continue
 			}
 			var decodeNanos int64
@@ -242,6 +123,7 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 			batch := make([]Query, len(queries))
 			copy(batch, queries)
 			c.inflight.Add(1)
+			c.w.outstanding.Add(1)
 			t := tag
 			err := c.eng.SubmitBatchAsync(ctx, batch, decodeNanos, func(replies []Reply) {
 				defer c.inflight.Done()
@@ -249,35 +131,37 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 				if traceOn {
 					encStart = time.Now()
 				}
-				frame := AppendTaggedReplyBatch(c.getBuf(), t, replies)
+				frame := AppendTaggedReplyBatch(c.w.getBuf(), t, replies)
 				if traceOn {
 					// Back-fill the encode stage into the sampled records:
 					// the shard published them before the reply bytes
 					// existed.
 					c.eng.BackfillEncode(replies, time.Since(encStart).Nanoseconds())
 				}
-				c.send(frame)
+				c.w.outstanding.Add(-1)
+				c.w.send(frame)
 			})
 			if err != nil {
 				// ErrServerClosed during drain — or a malformed budget in the
 				// batch body: this batch fails, the connection survives to
 				// serve the client's other tags.
 				c.inflight.Done()
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.outstanding.Add(-1)
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 			}
 
 		case len(payload) > 0 && payload[0] == msgStatsSubscribe:
 			tag, intervalSec, err := DecodeStatsSubscribe(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
-			c.startSub(tag, intervalSec)
+			c.startSub(tag, intervalSec, "stats ", func() { c.pushStats(tag) })
 
 		case len(payload) > 0 && payload[0] == msgStatsUnsubscribe:
 			tag, err := DecodeStatsUnsubscribe(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			c.stopSub(tag)
@@ -285,7 +169,7 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 		case len(payload) > 0 && payload[0] == msgTraceRequest:
 			tag, tenant, template, n, err := DecodeTraceRequest(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			if n > MaxBatch {
@@ -293,15 +177,15 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 			}
 			frame, err := AppendTracePush(nil, tag, c.eng.TraceViewSnapshot(tenant, template, int(n)))
 			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 				continue
 			}
-			c.send(frame)
+			c.w.send(frame)
 
 		case len(payload) > 0 && payload[0] == msgEventsRequest:
 			tag, typ, tenant, n, err := DecodeEventsRequest(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			if n > MaxBatch {
@@ -309,23 +193,26 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 			}
 			frame, err := AppendEventsPush(nil, tag, c.eng.EventsViewSnapshot(typ, tenant, int(n)))
 			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 				continue
 			}
-			c.send(frame)
+			c.w.send(frame)
 
 		case len(payload) > 0 && payload[0] == msgEventsSubscribe:
 			tag, intervalSec, err := DecodeEventsSubscribe(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
-			c.startEventsSub(tag, intervalSec)
+			// Each installment carries only the events this stream has
+			// not yet seen, cursored by journal sequence number.
+			var cursor int64
+			c.startSub(tag, intervalSec, "", func() { cursor = c.pushEvents(tag, cursor) })
 
 		case len(payload) > 0 && payload[0] == msgEventsUnsubscribe:
 			tag, err := DecodeEventsUnsubscribe(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			c.stopSub(tag)
@@ -335,9 +222,9 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 			// untagged, but the requester knows what it asked for.
 			path, size, err := c.eng.Checkpoint()
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 			} else {
-				c.send(AppendSnapshotReply(nil, path, size))
+				c.w.send(AppendSnapshotReply(nil, path, size))
 			}
 
 		// Shard checkpoint-transfer admin: every failure is scoped to the
@@ -346,50 +233,50 @@ func (c *muxConn) readLoop(br *bufio.Reader) {
 		case len(payload) > 0 && payload[0] == msgShardFreeze:
 			tag, shard, err := DecodeShardFreeze(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			if err := c.eng.FreezeShard(shard); err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 			} else {
-				c.send(AppendShardAck(nil, tag, shard))
+				c.w.send(AppendShardAck(nil, tag, shard))
 			}
 
 		case len(payload) > 0 && payload[0] == msgShardExtract:
 			tag, shard, err := DecodeShardExtract(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			packet, err := c.eng.ExtractShardPacket(shard)
 			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 			} else {
-				c.send(AppendShardState(nil, tag, shard, packet))
+				c.w.send(AppendShardState(nil, tag, shard, packet))
 			}
 
 		case len(payload) > 0 && payload[0] == msgShardInstall:
 			tag, shard, packet, err := DecodeShardInstall(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
 			if err := c.eng.InstallShardPacket(shard, packet); err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
+				c.w.send(AppendTaggedError(nil, tag, err.Error()))
 			} else {
-				c.send(AppendShardAck(nil, tag, shard))
+				c.w.send(AppendShardAck(nil, tag, shard))
 			}
 
 		case len(payload) > 0 && payload[0] == msgOwnersRequest:
 			tag, err := DecodeOwnersRequest(payload)
 			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
+				c.w.send(appendErrorPayload(nil, err.Error()))
 				return
 			}
-			c.send(AppendOwnersReply(nil, tag, c.eng.OwnedShards()))
+			c.w.send(AppendOwnersReply(nil, tag, c.eng.OwnedShards()))
 
 		default:
-			c.send(appendErrorPayload(nil, fmt.Sprintf("wire: unexpected v2 message type %d", firstByte(payload))))
+			c.w.send(appendErrorPayload(nil, fmt.Sprintf("wire: unexpected v2 message type %d", firstByte(payload))))
 			return
 		}
 	}
@@ -402,11 +289,12 @@ func firstByte(p []byte) byte {
 	return p[0]
 }
 
-// startSub opens one stats subscription: an immediate push, then one
-// every interval. A non-positive (or non-finite) interval is the
-// one-shot form — push once, auto-close. Subscribing an active tag or
-// exceeding the per-connection cap answers a tagged error.
-func (c *muxConn) startSub(tag uint64, intervalSec float64) {
+// startSub opens one server-pushed stream: push runs once immediately,
+// then every interval. A non-positive (or non-finite) interval is the
+// one-shot form — push once, auto-close. Stats and events streams share
+// the tag space and the per-connection cap; subscribing an active tag
+// or exceeding the cap answers a tagged error naming kind.
+func (c *muxConn) startSub(tag uint64, intervalSec float64, kind string, push func()) {
 	interval := time.Duration(0)
 	if intervalSec > 0 { // NaN compares false: one-shot
 		interval = time.Duration(intervalSec * float64(time.Second))
@@ -414,15 +302,15 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64) {
 			interval = minStatsInterval
 		}
 	}
-	c.qmu.Lock()
+	c.smu.Lock()
 	if _, dup := c.subs[tag]; dup {
-		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, "wire: stats subscription tag already active"))
+		c.smu.Unlock()
+		c.w.send(AppendTaggedError(nil, tag, "wire: "+kind+"subscription tag already active"))
 		return
 	}
 	if interval > 0 && len(c.subs) >= maxStatsSubs {
-		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many stats subscriptions (max %d)", maxStatsSubs)))
+		c.smu.Unlock()
+		c.w.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many %ssubscriptions (max %d)", kind, maxStatsSubs)))
 		return
 	}
 	var stop chan struct{}
@@ -430,9 +318,9 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64) {
 		stop = make(chan struct{})
 		c.subs[tag] = stop
 	}
-	c.qmu.Unlock()
+	c.smu.Unlock()
 
-	c.pushStats(tag)
+	push()
 	if interval == 0 {
 		return
 	}
@@ -444,7 +332,7 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64) {
 		for {
 			select {
 			case <-t.C:
-				c.pushStats(tag)
+				push()
 			case <-stop:
 				return
 			}
@@ -456,62 +344,10 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64) {
 func (c *muxConn) pushStats(tag uint64) {
 	payload, err := AppendStatsPush(nil, tag, c.eng.Stats())
 	if err != nil {
-		c.send(AppendTaggedError(nil, tag, err.Error()))
+		c.w.send(AppendTaggedError(nil, tag, err.Error()))
 		return
 	}
-	c.send(payload)
-}
-
-// startEventsSub opens one economy-events subscription: an immediate
-// installment of everything the journals buffer, then every interval
-// only the events the subscription has not yet seen (cursored by
-// journal sequence number). A non-positive interval is the one-shot
-// form. Events subscriptions share the stats subscriptions' tag space
-// and per-connection cap.
-func (c *muxConn) startEventsSub(tag uint64, intervalSec float64) {
-	interval := time.Duration(0)
-	if intervalSec > 0 { // NaN compares false: one-shot
-		interval = time.Duration(intervalSec * float64(time.Second))
-		if interval < minStatsInterval {
-			interval = minStatsInterval
-		}
-	}
-	c.qmu.Lock()
-	if _, dup := c.subs[tag]; dup {
-		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, "wire: subscription tag already active"))
-		return
-	}
-	if interval > 0 && len(c.subs) >= maxStatsSubs {
-		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many subscriptions (max %d)", maxStatsSubs)))
-		return
-	}
-	var stop chan struct{}
-	if interval > 0 {
-		stop = make(chan struct{})
-		c.subs[tag] = stop
-	}
-	c.qmu.Unlock()
-
-	cursor := c.pushEvents(tag, 0)
-	if interval == 0 {
-		return
-	}
-	c.subsWG.Add(1)
-	go func() {
-		defer c.subsWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				cursor = c.pushEvents(tag, cursor)
-			case <-stop:
-				return
-			}
-		}
-	}()
+	c.w.send(payload)
 }
 
 // pushEvents enqueues one cursored events installment and returns the
@@ -520,22 +356,22 @@ func (c *muxConn) pushEvents(tag uint64, since int64) int64 {
 	view, cursor := c.eng.EventsViewSince(since)
 	payload, err := AppendEventsPush(nil, tag, view)
 	if err != nil {
-		c.send(AppendTaggedError(nil, tag, err.Error()))
+		c.w.send(AppendTaggedError(nil, tag, err.Error()))
 		return cursor
 	}
-	c.send(payload)
+	c.w.send(payload)
 	return cursor
 }
 
 // stopSub ends one subscription; unknown tags are a no-op (the stream
 // may have been one-shot, or already closed).
 func (c *muxConn) stopSub(tag uint64) {
-	c.qmu.Lock()
+	c.smu.Lock()
 	stop, ok := c.subs[tag]
 	if ok {
 		delete(c.subs, tag)
 	}
-	c.qmu.Unlock()
+	c.smu.Unlock()
 	if ok {
 		close(stop)
 	}
@@ -543,10 +379,10 @@ func (c *muxConn) stopSub(tag uint64) {
 
 // stopAllSubs ends every subscription at connection teardown.
 func (c *muxConn) stopAllSubs() {
-	c.qmu.Lock()
+	c.smu.Lock()
 	subs := c.subs
 	c.subs = make(map[uint64]chan struct{})
-	c.qmu.Unlock()
+	c.smu.Unlock()
 	for _, stop := range subs {
 		close(stop)
 	}

@@ -55,10 +55,17 @@ func (p *PersistentMux) Reconnects() int64 { return p.reconnects.Load() }
 
 // Get returns a live client, dialing if necessary. During backoff after
 // a failed dial it fails immediately — a dead backend costs its callers
-// an error, not a stall.
+// an error, not a stall. A client whose connection died is closed as it
+// is replaced, outside the lock, so its socket is released.
 func (p *PersistentMux) Get() (*MuxClient, error) {
+	var dropped *MuxClient
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer func() {
+		p.mu.Unlock()
+		if dropped != nil {
+			dropped.Close()
+		}
+	}()
 	if p.closed {
 		return nil, ErrClientClosed
 	}
@@ -66,7 +73,7 @@ func (p *PersistentMux) Get() (*MuxClient, error) {
 		select {
 		case <-p.cl.Done():
 			// The connection died underneath us; fall through to redial.
-			p.cl = nil
+			dropped, p.cl = p.cl, nil
 		default:
 			return p.cl, nil
 		}
@@ -96,14 +103,18 @@ func (p *PersistentMux) Get() (*MuxClient, error) {
 	return cl, nil
 }
 
-// MarkDead drops a client the caller observed failing, so the next Get
-// redials instead of handing the same dead connection out again. A
-// no-op if the pool has already moved on.
+// MarkDead drops and closes a client the caller observed failing, so
+// the next Get redials instead of handing the same dead connection out
+// again. A no-op if the pool has already moved on (and closed it).
 func (p *PersistentMux) MarkDead(cl *MuxClient) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cl == cl {
+	drop := p.cl == cl
+	if drop {
 		p.cl = nil
+	}
+	p.mu.Unlock()
+	if drop {
+		cl.Close()
 	}
 }
 
