@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -211,5 +213,17 @@ func TestDecodeEmptyAndGarbage(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
 		t.Error("loading a missing file succeeded")
+	}
+}
+
+// encodeGoldenSHA256 pins the Version 2 encoding of sampleSnapshot. A
+// change to ShardState's Go layout must leave it alone: checkpoints
+// written by earlier builds have to keep loading byte-for-byte.
+const encodeGoldenSHA256 = "fcd5b7b3884fdb1c72921f37b925fd6ba84b6f86a9417466bbc0ab5ab21f46fe"
+
+func TestEncodeGolden(t *testing.T) {
+	sum := sha256.Sum256(EncodeBytes(sampleSnapshot()))
+	if got := hex.EncodeToString(sum[:]); got != encodeGoldenSHA256 {
+		t.Errorf("encoding of sampleSnapshot changed: sha256 %s, want %s", got, encodeGoldenSHA256)
 	}
 }
