@@ -41,6 +41,7 @@ import (
 	"repro/internal/economy"
 	"repro/internal/metrics"
 	"repro/internal/money"
+	"repro/internal/scheme"
 	"repro/internal/structure"
 )
 
@@ -81,27 +82,16 @@ type YieldState struct {
 type ShardState struct {
 	Index int
 
-	// Shard time: the monotone clamp, the rent-accrual watermark and the
-	// latest promised completion (the tail-rent window).
-	LastNow     time.Duration
-	LastAccrual time.Duration
-	EndOfRun    time.Duration
+	// LastNow is the shard's monotone clock clamp.
+	LastNow time.Duration
 
-	// Accrued rent integrals.
-	StorageGBSeconds float64
-	NodeSeconds      float64
-
-	// Lifetime counters.
-	Queries       int64
-	Declined      int64
-	CacheAnswered int64
-	Investments   int64
-	Failures      int64
-	Errors        int64
-	Revenue       money.Amount
-	Profit        money.Amount
-	ExecUsage     cost.Usage
-	BuildUsage    cost.Usage
+	// Meter is the shard's books: the rent-accrual watermark, the
+	// tail-rent window, the rent integrals and the lifetime counters.
+	// The codec writes its fields in place, with Errors between
+	// Failures and Revenue.
+	scheme.Meter
+	// Errors counts submissions that failed before a decision.
+	Errors int64
 
 	// RNG is the shard's selectivity-draw generator state, so draws for
 	// queries that omit a selectivity continue the exact pre-restart

@@ -14,6 +14,7 @@ import (
 	"repro/internal/economy"
 	"repro/internal/metrics"
 	"repro/internal/money"
+	"repro/internal/scheme"
 )
 
 // sampleSnapshot exercises every field of the format: two shards, one
@@ -47,19 +48,22 @@ func sampleSnapshot() *Snapshot {
 		CreatedUnixNano: 1700000000000000000,
 		Shards: []ShardState{
 			{
-				Index:            0,
-				LastNow:          time.Hour,
-				LastAccrual:      time.Hour - time.Second,
-				EndOfRun:         time.Hour + 3*time.Second,
-				StorageGBSeconds: 123.456,
-				NodeSeconds:      7.5,
-				Queries:          100, Declined: 2, CacheAnswered: 31,
-				Investments: 4, Failures: 1, Errors: 3,
-				Revenue:    money.FromDollars(10),
-				Profit:     money.FromDollars(3),
-				ExecUsage:  cost.Usage{CPUSeconds: 1.5, IOOps: 200, NetBytes: 1 << 30, Boots: 1},
-				BuildUsage: cost.Usage{CPUSeconds: 0.5, IOOps: 10, NetBytes: 1 << 20},
-				RNG:        0xDEADBEEFCAFEF00D,
+				Index:   0,
+				LastNow: time.Hour,
+				Meter: scheme.Meter{
+					LastAccrual:      time.Hour - time.Second,
+					EndOfRun:         time.Hour + 3*time.Second,
+					StorageGBSeconds: 123.456,
+					NodeSeconds:      7.5,
+					Queries:          100, Declined: 2, CacheAnswered: 31,
+					Investments: 4, Failures: 1,
+					Revenue:    money.FromDollars(10),
+					Profit:     money.FromDollars(3),
+					ExecUsage:  cost.Usage{CPUSeconds: 1.5, IOOps: 200, NetBytes: 1 << 30, Boots: 1},
+					BuildUsage: cost.Usage{CPUSeconds: 0.5, IOOps: 10, NetBytes: 1 << 20},
+				},
+				Errors: 3,
+				RNG:    0xDEADBEEFCAFEF00D,
 				Response: metrics.DurationStatsState{
 					Running:   metrics.RunningState{N: 98, Mean: 0.4, M2: 0.01, Min: 0.1, Max: 2.0, Sum: 39.2, HasSamples: true},
 					Reservoir: metrics.ReservoirState{Cap: 4, Seen: 98, Data: []float64{0.1, 0.4, 0.5, 2.0}, PRNG: 12345},
@@ -95,7 +99,7 @@ func sampleSnapshot() *Snapshot {
 			{
 				Index:   1,
 				LastNow: time.Hour,
-				Queries: 7,
+				Meter:   scheme.Meter{Queries: 7},
 				Response: metrics.DurationStatsState{
 					Reservoir: metrics.ReservoirState{Cap: 4, PRNG: 99},
 				},

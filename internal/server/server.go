@@ -10,12 +10,12 @@
 // template when no tenant is given), keeping each tenant's regret and
 // amortization history together. A shared Clock (wall, accelerated, or
 // virtual) drives rent and uptime accrual: a ticker integrates storage
-// and node rent through idle periods and completes due builds, mirroring
-// the discrete-event simulator's accounting on live time.
+// and node rent through idle periods and completes due builds. Each
+// shard keeps its books in a scheme.Meter, the same one sim.Run drives.
 //
 // Shutdown drains gracefully: no accepted query goes unanswered, and tail
-// rent is charged through the last promised completion exactly as
-// sim.Run's end-of-run accounting does.
+// rent is charged through the last promised completion
+// (scheme.Meter.Close).
 package server
 
 import (

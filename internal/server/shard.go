@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/cost"
 	"repro/internal/economy"
 	"repro/internal/metrics"
-	"repro/internal/money"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/scheme"
@@ -85,16 +83,13 @@ type shard struct {
 
 	// lastNow keeps shard time monotone even if the clock source jitters.
 	lastNow time.Duration
-	// lastAccrual is the point up to which storage and node rent have
-	// been integrated.
-	lastAccrual time.Duration
-	// endOfRun is the completion time of the latest-finishing execution;
-	// the drain path integrates tail rent through it, mirroring
-	// sim.Run's end-of-run accounting.
-	endOfRun time.Duration
-
-	storageGBSeconds float64
-	nodeSeconds      float64
+	// meter keeps the shard's books (rent, usage, counters); finalize
+	// settles its tail window at drain. See scheme.Meter.
+	meter scheme.Meter
+	// errors counts submissions that failed before a decision.
+	errors int64
+	// response is the response-time distribution of executed queries.
+	response *metrics.DurationStats
 
 	// deferred is handleMsgs' scratch list of async completions to run
 	// after the lock drops; a field so its capacity survives drains.
@@ -118,18 +113,6 @@ type shard struct {
 	// recent drain, nanoseconds — the saturation gauge /v1/stats reports.
 	// Atomic because snapshots read it without joining the queue.
 	oldestWait atomic.Int64
-
-	queries       int64
-	declined      int64
-	cacheAnswered int64
-	investments   int64
-	failures      int64
-	errors        int64
-	revenue       money.Amount
-	profit        money.Amount
-	execUsage     cost.Usage
-	buildUsage    cost.Usage
-	response      *metrics.DurationStats
 }
 
 // economyOf extracts the economy from schemes that have one.
@@ -245,7 +228,7 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 		return
 	}
 	now := s.nowLocked()
-	s.accrueLocked(now)
+	s.meter.Accrue(now, s.sch.Cache())
 	s.deferred = s.deferred[:0]
 	for _, m := range msgs {
 		wait := drainNanos - m.enq
@@ -315,20 +298,6 @@ func (s *shard) nowLocked() time.Duration {
 	}
 	s.lastNow = now
 	return now
-}
-
-// accrueLocked integrates storage and node rent over [lastAccrual, now)
-// using the residency state in force over that window (the cache has not
-// yet been mutated by whatever prompted the call). Callers hold s.mu.
-func (s *shard) accrueLocked(now time.Duration) {
-	if now <= s.lastAccrual {
-		return
-	}
-	dt := (now - s.lastAccrual).Seconds()
-	ca := s.sch.Cache()
-	s.storageGBSeconds += float64(ca.ResidentBytes()) / (1 << 30) * dt
-	s.nodeSeconds += float64(ca.NodeCount()) * dt
-	s.lastAccrual = now
 }
 
 // handleLocked decides one query at arrival time now, sampling a
@@ -437,27 +406,9 @@ func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme
 		return shardReply{err: fmt.Errorf("shard %d: query %d: %w", s.id, q.ID, err)}, scheme.Result{}
 	}
 
-	s.queries++
-	s.execUsage.Add(r.ExecUsage)
-	s.buildUsage.Add(r.BuildUsage)
-	s.revenue = s.revenue.Add(r.Charged)
-	s.profit = s.profit.Add(r.Profit)
-	s.investments += int64(r.Investments)
-	s.failures += int64(r.Failures)
-	if r.Declined {
-		s.declined++
-	} else {
+	s.meter.Record(now, r)
+	if !r.Declined {
 		s.response.ObserveDuration(r.ResponseTime)
-		if r.Location == plan.Cache {
-			s.cacheAnswered++
-		}
-		// Only executions widen the tail-rent window: a declined query
-		// runs nothing, so it must not push endOfRun (and with it the
-		// storage/node rent finalize charges) past its arrival — the
-		// same window sim.Run bills.
-		if done := now + r.ResponseTime; done > s.endOfRun {
-			s.endOfRun = done
-		}
 	}
 
 	return shardReply{resp: Response{
@@ -486,16 +437,16 @@ func (s *shard) housekeep() {
 		return
 	}
 	now := s.nowLocked()
-	s.accrueLocked(now)
 	ca := s.sch.Cache()
+	s.meter.Accrue(now, ca)
 	if now > ca.Clock() {
 		ca.Advance(now)
 	}
 	ca.CompleteDue()
 }
 
-// finalize integrates tail rent through the last promised completion, the
-// same closing window sim.Run charges. Called once, after the loop exits.
+// finalize integrates tail rent through the last promised completion
+// (scheme.Meter.Close). Called once, after the loop exits.
 func (s *shard) finalize() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -504,11 +455,7 @@ func (s *shard) finalize() {
 	if !s.owned {
 		return
 	}
-	end := s.nowLocked()
-	if s.endOfRun > end {
-		end = s.endOfRun
-	}
-	s.accrueLocked(end)
+	s.meter.Close(s.nowLocked(), s.sch.Cache())
 }
 
 // snapshot captures the shard's stats and returns the raw response-time
@@ -519,24 +466,25 @@ func (s *shard) snapshot() (ShardStats, []float64) {
 	// A disowned shard's state is in transit: report it as-is without
 	// advancing the clock or accruing rent, so polling stats during a
 	// migration cannot perturb the frozen capture.
+	ca := s.sch.Cache()
 	now := s.lastNow
 	if s.owned {
 		now = s.nowLocked()
-		s.accrueLocked(now)
+		s.meter.Accrue(now, ca)
 	}
 
-	acct := s.srv.accounting
-	ca := s.sch.Cache()
+	m := &s.meter
+	exec, build, storage, node := m.Costs(s.srv.accounting)
 	st := ShardStats{
 		Shard:              s.id,
 		Scheme:             s.sch.Name(),
 		Owned:              s.owned,
 		ClockSec:           now.Seconds(),
-		Queries:            s.queries,
-		Declined:           s.declined,
-		CacheAnswered:      s.cacheAnswered,
-		Investments:        s.investments,
-		Failures:           s.failures,
+		Queries:            m.Queries,
+		Declined:           m.Declined,
+		CacheAnswered:      m.CacheAnswered,
+		Investments:        m.Investments,
+		Failures:           m.Failures,
 		Errors:             s.errors,
 		MailboxDepth:       len(s.mailbox),
 		OldestWaitSec:      float64(s.oldestWait.Load()) / 1e9,
@@ -544,12 +492,12 @@ func (s *shard) snapshot() (ShardStats, []float64) {
 		ResponseP50Sec:     s.response.Percentile(50),
 		ResponseP95Sec:     s.response.Percentile(95),
 		ResponseP99Sec:     s.response.Percentile(99),
-		ExecCostUSD:        cost.Price(acct, s.execUsage).Dollars(),
-		BuildCostUSD:       cost.Price(acct, s.buildUsage).Dollars(),
-		StorageCostUSD:     acct.StorageRent(s.storageGBSeconds).Dollars(),
-		NodeCostUSD:        acct.NodeRent(s.nodeSeconds).Dollars(),
-		RevenueUSD:         s.revenue.Dollars(),
-		ProfitUSD:          s.profit.Dollars(),
+		ExecCostUSD:        exec.Dollars(),
+		BuildCostUSD:       build.Dollars(),
+		StorageCostUSD:     storage.Dollars(),
+		NodeCostUSD:        node.Dollars(),
+		RevenueUSD:         m.Revenue.Dollars(),
+		ProfitUSD:          m.Profit.Dollars(),
 		ResidentBytes:      ca.ResidentBytes(),
 		ResidentStructures: ca.Len(),
 		PendingBuilds:      ca.PendingCount(),
@@ -600,7 +548,7 @@ func (s *shard) quickCounters() (queries int64, now time.Duration) {
 	if now < s.lastNow {
 		now = s.lastNow
 	}
-	return s.queries, now
+	return s.meter.Queries, now
 }
 
 // structures lists the shard's resident structures, sorted by ID.

@@ -34,7 +34,8 @@ func (d *declineScheme) Cache() *cache.Cache { return d.ca }
 
 // TestDeclinedQueryDoesNotExtendTailRent: a declined query performs no
 // execution, so it must not widen the end-of-run window finalize charges
-// storage and node rent through — the same accounting sim.Run applies.
+// storage and node rent through (scheme.Meter.Record; sim.Run has the
+// twin of this test).
 func TestDeclinedQueryDoesNotExtendTailRent(t *testing.T) {
 	cat := catalog.TPCH(20)
 	clock := NewVirtualClock()
@@ -82,7 +83,7 @@ func TestDeclinedQueryDoesNotExtendTailRent(t *testing.T) {
 	// The clock never advanced, the only query declined: the drain must
 	// settle zero rent, not an hour of it.
 	sh.mu.Lock()
-	gbSec, nodeSec, end := sh.storageGBSeconds, sh.nodeSeconds, sh.endOfRun
+	gbSec, nodeSec, end := sh.meter.StorageGBSeconds, sh.meter.NodeSeconds, sh.meter.EndOfRun
 	sh.mu.Unlock()
 	if end != 0 {
 		t.Errorf("declined query extended endOfRun to %v", end)

@@ -81,6 +81,55 @@ func TestTailRentCharged(t *testing.T) {
 	}
 }
 
+// declineScheme declines every query while reporting a non-zero
+// ResponseTime: the worst case for the tail-rent window.
+type declineScheme struct {
+	ca   *cache.Cache
+	resp time.Duration
+}
+
+func (s *declineScheme) Name() string        { return "decline-stub" }
+func (s *declineScheme) Cache() *cache.Cache { return s.ca }
+
+func (s *declineScheme) HandleQuery(q *workload.Query) (scheme.Result, error) {
+	if q.Arrival >= s.ca.Clock() {
+		s.ca.Advance(q.Arrival)
+	}
+	return scheme.Result{Declined: true, ResponseTime: s.resp}, nil
+}
+
+// TestDeclinedQueryDoesNotExtendTailRent is the sim twin of the server
+// test of the same name: a declined query runs nothing, so the run ends
+// at the last arrival and no tail rent is billed past it.
+func TestDeclinedQueryDoesNotExtendTailRent(t *testing.T) {
+	ca := cache.New(0)
+	if err := ca.StartBuild(structure.CPUNode(2), 0, money.FromDollars(1)); err != nil {
+		t.Fatal(err)
+	}
+	ca.CompleteDue()
+
+	rep, err := Run(Config{
+		Scheme:    &declineScheme{ca: ca, resp: time.Hour},
+		Generator: testGen(t, catalog.TPCH(5), time.Second, 7),
+		Queries:   10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Declined != 10 {
+		t.Fatalf("Declined = %d, want 10", rep.Declined)
+	}
+	// Arrivals at 1..10 s: the node rents from 0 to the last arrival.
+	const lastArrival = 10 * time.Second
+	if rep.EndOfRun != lastArrival {
+		t.Errorf("declined queries extended EndOfRun to %v, want %v", rep.EndOfRun, lastArrival)
+	}
+	want := pricing.EC22008().CPUPerHour.MulFloat(lastArrival.Seconds() / 3600)
+	if diff := rep.NodeCost.Sub(want).Abs(); diff > money.Amount(1) {
+		t.Errorf("NodeCost = %v, want %v (tail rent billed for declined queries)", rep.NodeCost, want)
+	}
+}
+
 // TestBatchInvariance pins the pipelined producer: any batch size and
 // prefetch depth must yield the identical report.
 func TestBatchInvariance(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/economy"
 	"repro/internal/metrics"
 	"repro/internal/money"
@@ -181,15 +180,10 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		Response:   metrics.NewDurationStats(cfg.ReservoirCap),
 	}
 
-	var execUsage, buildUsage cost.Usage
-	var storageGBSeconds float64 // resident GiB × seconds
-	var nodeSeconds float64      // extra-node uptime in seconds
-
 	ca := cfg.Scheme.Cache()
-	lastClock := ca.Clock()
+	m := scheme.Meter{LastAccrual: ca.Clock()}
 	var firstArrival time.Duration
 	var lastArrival time.Duration
-	var endOfRun time.Duration
 
 	// Producer: the generator is single-owner, so exactly one goroutine
 	// calls Next. The deferred cancel-and-drain guarantees it has exited
@@ -256,40 +250,25 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 
 			// Integrate storage and node rent over the idle gap, using the
 			// cache state before this arrival mutates it.
-			if q.Arrival > lastClock {
-				dt := (q.Arrival - lastClock).Seconds()
-				storageGBSeconds += float64(ca.ResidentBytes()) / (1 << 30) * dt
-				nodeSeconds += float64(ca.NodeCount()) * dt
-				lastClock = q.Arrival
-			}
+			m.Accrue(q.Arrival, ca)
 
 			r, err := cfg.Scheme.HandleQuery(q)
 			if err != nil {
 				return nil, fmt.Errorf("sim: query %d: %w", q.ID, err)
 			}
-			execUsage.Add(r.ExecUsage)
-			buildUsage.Add(r.BuildUsage)
-			rep.Revenue = rep.Revenue.Add(r.Charged)
-			rep.Profit = rep.Profit.Add(r.Profit)
-			rep.Investments += int64(r.Investments)
-			rep.Failures += int64(r.Failures)
+			m.Record(q.Arrival, r)
 			tr := tenantOf(q.Tenant)
 			tr.Queries++
 			tr.Revenue = tr.Revenue.Add(r.Charged)
 			tr.Profit = tr.Profit.Add(r.Profit)
 			if r.Declined {
-				rep.Declined++
 				tr.Declined++
 			} else {
 				rep.Response.ObserveDuration(r.ResponseTime)
 				tr.ResponseSum += r.ResponseTime
 				if r.Location == plan.Cache {
-					rep.CacheAnswered++
 					tr.CacheAnswered++
 				}
-			}
-			if done := q.Arrival + r.ResponseTime; done > endOfRun {
-				endOfRun = done
 			}
 
 			i++
@@ -313,24 +292,15 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("sim: generator produced %d of %d queries", i, cfg.Queries)
 	}
 
-	// Rent keeps accruing while the final queries execute: integrate the
-	// tail from the last arrival to the last completion, so a run's
-	// storage and node costs do not silently drop the closing window.
-	if endOfRun > lastClock {
-		dt := (endOfRun - lastClock).Seconds()
-		storageGBSeconds += float64(ca.ResidentBytes()) / (1 << 30) * dt
-		nodeSeconds += float64(ca.NodeCount()) * dt
-		lastClock = endOfRun
-	}
-
-	acct := cfg.Accounting
-	rep.ExecCost = cost.Price(acct, execUsage)
-	rep.BuildCost = cost.Price(acct, buildUsage)
-	rep.StorageCost = acct.StorageRent(storageGBSeconds)
-	rep.NodeCost = acct.NodeRent(nodeSeconds)
+	// Rent keeps accruing while the final queries execute: the tail from
+	// the last arrival to the last completion is billed too.
+	rep.EndOfRun = m.Close(lastArrival, ca)
+	rep.ExecCost, rep.BuildCost, rep.StorageCost, rep.NodeCost = m.Costs(cfg.Accounting)
 	rep.OperatingCost = money.Sum(rep.ExecCost, rep.BuildCost, rep.StorageCost, rep.NodeCost)
+	rep.Declined, rep.CacheAnswered = m.Declined, m.CacheAnswered
+	rep.Investments, rep.Failures = m.Investments, m.Failures
+	rep.Revenue, rep.Profit = m.Revenue, m.Profit
 	rep.Elapsed = lastArrival - firstArrival
-	rep.EndOfRun = endOfRun
 	rep.FinalResidentBytes = ca.ResidentBytes()
 
 	// Per-tenant sections: only for tagged streams, so the classic
