@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench profile fuzz e2e ci
+.PHONY: all build vet test race bench profile fuzz deadpkgs e2e ci
 
 all: ci
 
@@ -51,6 +51,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzShardPacketDecode -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzEconomyAdversarial -fuzztime 10s ./internal/economy
 
+# Dead-package gate: every internal package must be reached from the
+# root package, a command, an example or a script. Prints the names of
+# those nothing reaches (imports from tests do not count) and fails.
+deadpkgs:
+	@dead=$$($(GO) list ./internal/... | grep -vxF "$$($(GO) list -deps . ./cmd/... ./examples/... ./scripts/...)"); \
+	if [ -n "$$dead" ]; then \
+		echo "$$dead" | sed 's|^.*/internal/||'; \
+		echo "deadpkgs: internal packages nothing imports" >&2; \
+		exit 1; \
+	fi
+
 # End-to-end smoke of the cloudcached daemon: start, replay a stream over
 # HTTP with invariant checks, drain gracefully — then the crash-recovery
 # leg: SIGKILL halfway (no drain), restore from the periodic checkpoint,
@@ -59,4 +70,4 @@ e2e:
 	./scripts/e2e_smoke.sh
 
 # The tier-1 gate.
-ci: build vet race bench fuzz e2e
+ci: build vet deadpkgs race bench fuzz e2e

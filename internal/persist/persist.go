@@ -90,7 +90,7 @@ type ShardState struct {
 	// The codec writes its fields in place, with Errors between
 	// Failures and Revenue.
 	scheme.Meter
-	// Errors counts submissions that failed before a decision.
+	// Errors counts submissions that ended in an error, not a decision.
 	Errors int64
 
 	// RNG is the shard's selectivity-draw generator state, so draws for

@@ -9,6 +9,9 @@
 //   - econ-cheap — the full economy (columns + indexes + CPU nodes),
 //     cheapest plan selection.
 //   - econ-fast  — the full economy, fastest affordable plan selection.
+//
+// Meter keeps the operating-cost books of a scheme's cache; sim.Run and
+// the server shard both drive one.
 package scheme
 
 import (

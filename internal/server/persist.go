@@ -16,10 +16,10 @@ import (
 // before the shard loops start, so a restarted daemon resumes the exact
 // accounts, regret ledgers and resident structures it drained with. The
 // graceful-drain path writes the snapshot after the loops exit but
-// BEFORE tail-rent finalization: the tail window (Meter.EndOfRun) is persisted
-// and the restored server charges it at its own eventual drain, so a
-// drain-restore-drain sequence accounts rent exactly once — the
-// restart-parity test pins this byte for byte.
+// BEFORE tail-rent finalization: the tail window (Meter.EndOfRun) is
+// persisted and the restored server charges it at its own eventual
+// drain, so a drain-restore-drain sequence accounts rent exactly once —
+// the restart-parity test pins this byte for byte.
 
 // yieldScheme is implemented by schemes whose only extra state is a
 // yield accumulator (the bypass baseline).

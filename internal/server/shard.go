@@ -86,7 +86,7 @@ type shard struct {
 	// meter keeps the shard's books (rent, usage, counters); finalize
 	// settles its tail window at drain. See scheme.Meter.
 	meter scheme.Meter
-	// errors counts submissions that failed before a decision.
+	// errors counts submissions that ended in an error, not a decision.
 	errors int64
 	// response is the response-time distribution of executed queries.
 	response *metrics.DurationStats

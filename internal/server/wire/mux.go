@@ -55,27 +55,43 @@ type adminResult struct {
 	err    error
 }
 
-// EventsSub is one client-side economy-events subscription. Cursored
-// installments arrive on C as the server pushes them — each carries only
-// events the subscription has not yet seen, plus the journal's running
-// totals — and the channel is closed when the subscription ends. A slow
-// consumer drops installments rather than stalling the reader; the
-// totals in the next installment still reconcile (they are running
+// Sub is one client-side subscription to server-pushed values of type
+// T. Values arrive on C as the server pushes them; the channel is closed
+// when the subscription ends (Close, a tag-scoped server error, or
+// connection teardown). A slow consumer drops pushes rather than
+// stalling the connection's reader.
+type Sub[T any] struct {
+	C   <-chan T
+	c   chan T
+	tag uint64
+	// unsubscribe tells the server the tag is done.
+	unsubscribe func(tag uint64) error
+
+	mu     sync.Mutex
+	closed bool
+	err    error
+}
+
+// StatsSub is one client-side stats subscription: each push is a full
+// engine snapshot.
+type StatsSub = Sub[server.Stats]
+
+// EventsSub is one client-side economy-events subscription. Each
+// cursored installment carries only events the subscription has not yet
+// seen, plus the journal's running totals, so the totals in the next
+// installment still reconcile after a dropped one (they are running
 // sums, not deltas).
-type EventsSub struct {
-	C   <-chan server.EventsView
-	c   chan server.EventsView
-	tag uint64
-	cl  *MuxClient
+type EventsSub = Sub[server.EventsView]
 
-	mu     sync.Mutex
-	closed bool
-	err    error
+// newSub builds a subscription whose channel buffers size pushes.
+func newSub[T any](size int, unsubscribe func(tag uint64) error) *Sub[T] {
+	ch := make(chan T, size)
+	return &Sub[T]{C: ch, c: ch, unsubscribe: unsubscribe}
 }
 
 // Err reports why the subscription ended, once C is closed; nil means a
 // clean Close.
-func (s *EventsSub) Err() error {
+func (s *Sub[T]) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
@@ -83,16 +99,16 @@ func (s *EventsSub) Err() error {
 
 // Close unsubscribes: the server stops pushing and C is closed. Safe to
 // call more than once.
-func (s *EventsSub) Close() error {
+func (s *Sub[T]) Close() error {
 	if !s.finish(nil) {
 		return nil
 	}
-	return s.cl.sendEventsUnsubscribe(s.tag)
+	return s.unsubscribe(s.tag)
 }
 
 // finish closes C exactly once, recording the cause; reports whether
 // this call was the one that closed it.
-func (s *EventsSub) finish(cause error) bool {
+func (s *Sub[T]) finish(cause error) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -104,79 +120,17 @@ func (s *EventsSub) finish(cause error) bool {
 	return true
 }
 
-// deliver hands the reader an installment without racing finish: the
-// mutex serializes the send against the close, and a slow consumer
-// drops the installment rather than stalling the connection's reader.
-func (s *EventsSub) deliver(view server.EventsView) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case s.c <- view:
-	default:
-	}
-}
-
-// StatsSub is one client-side stats subscription. Snapshots arrive on C
-// as the server pushes them; the channel is closed when the
-// subscription ends (Close, a tag-scoped server error, or connection
-// teardown). A slow consumer drops pushes rather than stalling the
-// connection's reader.
-type StatsSub struct {
-	C   <-chan server.Stats
-	c   chan server.Stats
-	tag uint64
-	cl  *MuxClient
-
-	mu     sync.Mutex
-	closed bool
-	err    error
-}
-
-// Err reports why the subscription ended, once C is closed; nil means a
-// clean Close.
-func (s *StatsSub) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close unsubscribes: the server stops pushing and C is closed. Safe to
-// call more than once.
-func (s *StatsSub) Close() error {
-	if !s.finish(nil) {
-		return nil
-	}
-	return s.cl.sendUnsubscribe(s.tag)
-}
-
-// finish closes C exactly once, recording the cause; reports whether
-// this call was the one that closed it.
-func (s *StatsSub) finish(cause error) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.closed = true
-	s.err = cause
-	close(s.c)
-	return true
-}
-
-// deliver hands the reader a snapshot without racing finish: the mutex
+// deliver hands the reader a push without racing finish: the mutex
 // serializes the send against the close, and a slow consumer drops the
 // push rather than stalling the connection's reader.
-func (s *StatsSub) deliver(st server.Stats) {
+func (s *Sub[T]) deliver(v T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
 	select {
-	case s.c <- st:
+	case s.c <- v:
 	default:
 	}
 }
@@ -532,8 +486,7 @@ func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 // minimum cadence). The pushes arrive on the returned sub's C. Close
 // the sub to stop the stream.
 func (c *MuxClient) SubscribeStats(interval float64) (*StatsSub, error) {
-	ch := make(chan server.Stats, 4)
-	sub := &StatsSub{C: ch, c: ch, cl: c}
+	sub := newSub[server.Stats](4, c.sendUnsubscribe)
 	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.subs[tag] = sub })
 	if err != nil {
 		return nil, err
@@ -546,8 +499,7 @@ func (c *MuxClient) SubscribeStats(interval float64) (*StatsSub, error) {
 // the v2 answer to the lockstep client's Stats round trip, served by a
 // server push instead of a poll.
 func (c *MuxClient) Stats(ctx context.Context) (server.Stats, error) {
-	ch := make(chan server.Stats, 1)
-	sub := &StatsSub{C: ch, c: ch, cl: c}
+	sub := newSub[server.Stats](1, c.sendUnsubscribe)
 	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.subs[tag] = sub })
 	if err != nil {
 		return server.Stats{}, err
@@ -560,7 +512,7 @@ func (c *MuxClient) Stats(ctx context.Context) (server.Stats, error) {
 		c.mu.Unlock()
 	}()
 	select {
-	case st, ok := <-ch:
+	case st, ok := <-sub.C:
 		if !ok {
 			return server.Stats{}, sub.Err()
 		}
@@ -615,8 +567,7 @@ func (c *MuxClient) Trace(ctx context.Context, tenant, template string, n int) (
 // /v1/events. typ and tenant filter ("" matches everything); n <= 0
 // applies the server's default bound.
 func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (server.EventsView, error) {
-	ch := make(chan server.EventsView, 1)
-	sub := &EventsSub{C: ch, c: ch, cl: c}
+	sub := newSub[server.EventsView](1, c.sendEventsUnsubscribe)
 	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.esubs[tag] = sub })
 	if err != nil {
 		return server.EventsView{}, err
@@ -631,7 +582,7 @@ func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (serv
 		c.mu.Unlock()
 	}()
 	select {
-	case view, ok := <-ch:
+	case view, ok := <-sub.C:
 		if !ok {
 			return server.EventsView{}, sub.Err()
 		}
@@ -649,8 +600,7 @@ func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (serv
 // lives server-side, so installments never repeat an event. Close the
 // sub to stop the stream.
 func (c *MuxClient) SubscribeEvents(interval float64) (*EventsSub, error) {
-	ch := make(chan server.EventsView, 4)
-	sub := &EventsSub{C: ch, c: ch, cl: c}
+	sub := newSub[server.EventsView](4, c.sendEventsUnsubscribe)
 	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.esubs[tag] = sub })
 	if err != nil {
 		return nil, err

@@ -89,8 +89,9 @@ type Report struct {
 
 	// Elapsed is the simulated wall-clock span (first to last arrival).
 	Elapsed time.Duration
-	// EndOfRun is when the last execution completed (last arrival plus
-	// the longest outstanding response); rent is charged through it.
+	// EndOfRun is when the last execution completed, or the last
+	// arrival if that is later (declined queries run nothing); rent is
+	// charged through it.
 	EndOfRun time.Duration
 	// FinalResidentBytes is the cache footprint at the end.
 	FinalResidentBytes int64
